@@ -2,10 +2,9 @@
 
 The paper's dataset came from a months-long crawl of a remote, flaky
 API; the reproduction must survive the same conditions. This benchmark
-drives a 4-worker :class:`ParallelSnowballCrawler` through a
-:class:`ChaosProxy` injecting network faults (resets, hangups, stalls,
-garbled frames, latency) at a meaningful rate and asserts the PR's
-acceptance bar:
+drives a :class:`SnowballCrawler` through a :class:`ChaosProxy`
+injecting network faults (resets, hangups, stalls, garbled frames,
+latency) at a meaningful rate and asserts the resilience bar:
 
 - the chaos crawl collects the *identical video set* as a fault-free
   crawl of the same universe;
@@ -22,7 +21,7 @@ from repro.api.chaos import ChaosProxy
 from repro.api.resilient import ResilientYoutubeClient
 from repro.api.service import YoutubeService
 from repro.api.transport import YoutubeAPIServer
-from repro.crawler.parallel import ParallelSnowballCrawler
+from repro.crawler.snowball import SnowballCrawler
 from repro.errors import CircuitOpenError, TransportError
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.synth.universe import UniverseConfig, build_universe
@@ -64,17 +63,13 @@ def _chaos_crawl(universe):
                 breaker=breaker,
                 retry=_client_retry(),
             ) as client:
-                result = ParallelSnowballCrawler(
-                    client, workers=4, max_videos=10_000
-                ).run()
+                result = SnowballCrawler(client, max_videos=10_000).run()
             return result, proxy.fault_counts, proxy.requests_seen
 
 
 def test_r1_chaos_crawl_completes_identically(benchmark, report_writer):
     universe = _universe()
-    clean = ParallelSnowballCrawler(
-        YoutubeService(universe), workers=4, max_videos=10_000
-    ).run()
+    clean = SnowballCrawler(YoutubeService(universe), max_videos=10_000).run()
     clean_ids = set(clean.dataset.video_ids())
 
     result, fault_counts, requests_seen = benchmark.pedantic(
@@ -93,7 +88,7 @@ def test_r1_chaos_crawl_completes_identically(benchmark, report_writer):
     )
     report_writer(
         "r1_chaos_crawl",
-        "R1 — 4-worker crawl through a fault-injecting TCP proxy\n"
+        "R1 — crawl through a fault-injecting TCP proxy\n"
         f"fault rate {FAULT_RATE} (seed {SEED}, bursts of 3), "
         f"{requests_seen} proxied requests\n"
         f"injected faults:\n{fault_lines}\n"
@@ -124,8 +119,8 @@ def test_r1_server_down_partial_report(report_writer):
                 retryable=(TransportError, CircuitOpenError),
             ),
         ) as client:
-            result = ParallelSnowballCrawler(
-                client, workers=4, max_videos=10_000, max_retries=2
+            result = SnowballCrawler(
+                client, max_videos=10_000, max_retries=2
             ).run()
 
     # A dead server must produce a clean partial report, not a hang.

@@ -21,7 +21,7 @@ from repro.api import (
     YoutubeAPIServer,
     YoutubeService,
 )
-from repro.crawler.parallel import ParallelSnowballCrawler
+from repro.crawler.snowball import SnowballCrawler
 from repro.errors import CircuitOpenError, TransportError
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.synth.universe import UniverseConfig, build_universe
@@ -42,13 +42,11 @@ def connection_retry() -> RetryPolicy:
 def main() -> None:
     universe = build_universe(UniverseConfig(n_videos=150, n_tags=100, seed=2011))
 
-    # 1. The reference: a clean 4-worker crawl over TCP.
+    # 1. The reference: a clean crawl over TCP.
     print("1) Clean crawl over the TCP transport...")
     with YoutubeAPIServer(YoutubeService(universe)) as server:
         with ResilientYoutubeClient(server.host, server.port) as client:
-            clean = ParallelSnowballCrawler(
-                client, workers=4, max_videos=10_000
-            ).run()
+            clean = SnowballCrawler(client, max_videos=10_000).run()
     clean_ids = set(clean.dataset.video_ids())
     print(f"   collected {len(clean_ids)} videos\n")
 
@@ -72,9 +70,7 @@ def main() -> None:
                 breaker=breaker,
                 retry=connection_retry(),
             ) as client:
-                chaotic = ParallelSnowballCrawler(
-                    client, workers=4, max_videos=10_000
-                ).run()
+                chaotic = SnowballCrawler(client, max_videos=10_000).run()
         faults = ", ".join(
             f"{kind}={count}" for kind, count in sorted(proxy.fault_counts.items())
         )
@@ -102,8 +98,8 @@ def main() -> None:
                 retryable=(TransportError, CircuitOpenError),
             ),
         ) as client:
-            partial = ParallelSnowballCrawler(
-                client, workers=4, max_videos=10_000, max_retries=2
+            partial = SnowballCrawler(
+                client, max_videos=10_000, max_retries=2
             ).run()
     print(
         f"   terminated cleanly with {len(partial.dataset)} videos; "

@@ -1,29 +1,30 @@
-#!/usr/bin/env python3
-"""Operating at paper scale: parallel crawling, disk storage, bias audit.
+"""Operating at paper scale: multi-process crawling, disk storage, bias audit.
 
 The 2011 study crawled a million videos over weeks. This example shows
 the machinery you would use for that scale, on a smaller world:
 
 1. save a generated world to disk (shareable, ground truth included);
-2. crawl it with the multi-worker crawler against a latency-bound API,
-   and compare wall-clock with the sequential crawler;
-3. stream the crawl into a SQLite-backed :class:`VideoStore` and query
-   it without materializing the corpus;
+2. serve it over TCP with a per-request latency floor and crawl it with
+   the supervised multi-process crawler (what ``repro crawl --workers
+   N`` runs), which writes every video into a SQLite-backed store;
+3. query that :class:`VideoStore` without materializing the corpus;
 4. audit the snowball sample's bias against the world's ground truth
    (popularity bias, tag coverage, geographic distortion);
-5. serve the API over TCP and crawl it from a remote client — the
-   crawler code is identical, only the service object changes.
+5. crawl the same API from a remote client with the in-process crawler
+   — the crawler code is identical, only the service object changes.
 
 Run:  python examples/scaling_the_crawl.py
 """
 
+import json
 import tempfile
 import time
 from pathlib import Path
 
 from repro.analysis.sampling import compare_sample_to_universe, tag_coverage_curve
 from repro.api.service import YoutubeService
-from repro.crawler.parallel import ParallelSnowballCrawler
+from repro.api.transport import RemoteYoutubeClient, YoutubeAPIServer
+from repro.crawler.distributed import DistributedCrawlSupervisor
 from repro.crawler.snowball import SnowballCrawler
 from repro.datamodel.store import VideoStore
 from repro.synth.io import load_universe, save_universe
@@ -33,6 +34,8 @@ from repro.viz.report import format_table
 
 CRAWL_BUDGET = 400
 LATENCY = 0.002  # 2 ms per API request
+WORKERS = 4
+BENCH_R3 = Path(__file__).resolve().parent.parent / "BENCH_r3.json"
 
 
 def main() -> None:
@@ -46,40 +49,48 @@ def main() -> None:
     print(f"   {world_path} ({world_path.stat().st_size / 1024:.0f} KiB)")
     universe = load_universe(world_path)  # prove the round trip
 
-    # 2. Sequential vs parallel crawl under API latency.
-    print(f"\n2) Crawling {CRAWL_BUDGET} videos at {LATENCY*1000:.0f} ms/request...")
-
-    start = time.perf_counter()
-    sequential = SnowballCrawler(
-        YoutubeService(universe, latency_seconds=LATENCY),
-        max_videos=CRAWL_BUDGET,
-    ).run()
-    sequential_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = ParallelSnowballCrawler(
-        YoutubeService(universe, latency_seconds=LATENCY),
-        workers=8,
-        max_videos=CRAWL_BUDGET,
-    ).run()
-    parallel_s = time.perf_counter() - start
-
+    # 2. Supervised worker processes against a latency-bound API.
+    print(
+        f"\n2) Crawling {CRAWL_BUDGET} videos with {WORKERS} worker "
+        f"processes over TCP at {LATENCY*1000:.0f} ms/request..."
+    )
+    store_path = workdir / "crawl.db"
+    with YoutubeAPIServer(
+        YoutubeService(universe, latency_seconds=LATENCY)
+    ) as server:
+        with DistributedCrawlSupervisor(
+            server.host,
+            server.port,
+            store_path=str(store_path),
+            workdir=str(workdir / "journals"),
+            workers=WORKERS,
+            max_videos=CRAWL_BUDGET,
+        ) as supervisor:
+            start = time.perf_counter()
+            crawl = supervisor.run()
+            elapsed = time.perf_counter() - start
     print(
         format_table(
             [
-                ("sequential crawler", f"{sequential_s:.2f} s"),
-                ("parallel crawler (8 workers)", f"{parallel_s:.2f} s"),
-                ("speedup", f"{sequential_s / parallel_s:.1f}×"),
+                ("videos collected", len(crawl.dataset)),
+                ("wall clock", f"{elapsed:.2f} s"),
+                ("workers spawned", crawl.stats.workers_spawned),
+                ("leases revoked", crawl.stats.leases_revoked),
             ],
-            title="Wall-clock comparison",
+            title="Distributed crawl",
         )
     )
+    if BENCH_R3.exists():
+        r3 = json.loads(BENCH_R3.read_text(encoding="utf-8"))
+        print(
+            f"   measured by benchmark R3 (BENCH_r3.json): {r3['workers']} "
+            f"workers crawl {r3['speedup']}x faster than one process "
+            f"({r3['preset']} preset, {r3['max_videos']}-video budget)"
+        )
 
     # 3. SQLite store.
-    print("\n3) Loading the crawl into a SQLite store and querying it...")
-    store_path = workdir / "crawl.db"
+    print("\n3) Querying the crawl's SQLite store...")
     with VideoStore(store_path) as store:
-        store.add_many(iter(parallel.dataset))
         top = store.most_viewed(3)
         heavy_tags = store.tag_frequencies(min_count=5)[:5]
         print(
@@ -100,9 +111,9 @@ def main() -> None:
 
     # 4. Sample-bias audit.
     print("\n4) Auditing the snowball sample against ground truth...")
-    report = compare_sample_to_universe(universe, parallel.dataset)
+    report = compare_sample_to_universe(universe, crawl.dataset)
     print(format_table(report.as_rows(), title="Sample bias report"))
-    xs, ys = tag_coverage_curve(parallel.dataset, step=CRAWL_BUDGET // 8)
+    xs, ys = tag_coverage_curve(crawl.dataset, step=CRAWL_BUDGET // 8)
     curve = "  ".join(f"{x}:{y}" for x, y in zip(xs.tolist(), ys.tolist()))
     print(f"\ntag discovery curve (videos:tags):\n  {curve}")
     print(
@@ -111,10 +122,8 @@ def main() -> None:
         "\nmethodology section should make you expect."
     )
 
-    # 5. The same crawl over a real TCP boundary.
+    # 5. The in-process crawler over a real TCP boundary.
     print("\n5) Serving the API over TCP and crawling it remotely...")
-    from repro.api.transport import RemoteYoutubeClient, YoutubeAPIServer
-
     with YoutubeAPIServer(YoutubeService(universe)) as server:
         with RemoteYoutubeClient(server.host, server.port) as remote:
             info = remote.describe()

@@ -66,7 +66,7 @@ class YoutubeService:
         quota: Request budget (default: unlimited).
         faults: Transient-fault injector (default: no faults).
         latency_seconds: Simulated per-request round-trip time (default 0;
-            the parallel crawler's tests and examples use a few ms).
+            the latency-bound crawl benchmark and examples use a few ms).
     """
 
     def __init__(

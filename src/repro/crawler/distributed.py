@@ -1,7 +1,7 @@
 """Distributed multi-process snowball crawl: supervisor + leased shards.
 
-The single-process crawlers (``snowball``, ``parallel``) are capped by
-one Python process's throughput against a latency-bound API. This
+The single-process :class:`~repro.crawler.snowball.SnowballCrawler` is
+capped by one process's throughput against a latency-bound API. This
 module shards the BFS frontier across N ``multiprocessing`` workers,
 each running its own :class:`~repro.api.resilient.ResilientYoutubeClient`
 (own :class:`~repro.resilience.RetryPolicy` and
@@ -15,10 +15,11 @@ Architecture (see GUIDE §9):
   dedup), seeds it through its own resilient client, and hands frontier
   entries to workers as **leases** (:mod:`repro.crawler.leases`) —
   deadline-bound shard ownership, renewed by heartbeats.
-- **Workers** visit their leased entries in order: fetch (with
-  retries), decode the popularity chart, page the related feed, write
-  the video to the shared store (*idempotent* upsert — cross-worker
-  dedup never aborts a crawl), then journal the visit, then heartbeat.
+- **Workers** visit their leased entries in order through the shared
+  :class:`~repro.crawler.step.CrawlStep` (fetch with retries, decode
+  the popularity chart, page the related feed), write the video to the
+  shared store (*idempotent* upsert — cross-worker dedup never aborts a
+  crawl), then journal the visit, then heartbeat.
   Store-before-journal ordering means a journaled visit is always
   store-durable.
 - A worker's **death** is detected through its process sentinel (no
@@ -51,26 +52,21 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.api.quota import UNLIMITED, QuotaTracker
 from repro.api.resilient import ResilientYoutubeClient
-from repro.chartmap.mapchart import parse_map_chart_url, popularity_from_chart
 from repro.clock import SYSTEM_CLOCK, ClockLike, now_fn
 from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.frontier import BFSFrontier
 from repro.crawler.leases import Entry, LeaseManager
-from repro.crawler.politeness import ClockedTokenBucket
 from repro.crawler.snowball import CrawlResult
 from repro.crawler.stats import CrawlStats
-from repro.datamodel.popularity import PopularityVector
+from repro.crawler.step import CrawlStep
 from repro.datamodel.store import VideoStore
 from repro.datamodel.video import Video
 from repro.durability.journal import CheckpointJournal
 from repro.errors import (
-    ChartError,
     CheckpointError,
     ConfigError,
     CrawlError,
     QuotaExceededError,
-    TransientAPIError,
-    VideoNotFoundError,
 )
 from repro.resilience import CircuitBreaker, RetryPolicy
 from repro.world.countries import SEED_COUNTRIES, default_registry
@@ -123,46 +119,54 @@ class WorkerConfig:
 KILLED_EXIT_CODE = 17
 
 
+def _retry_policy(knobs: Dict) -> RetryPolicy:
+    """The ``retry_*`` worker knobs as a policy that really sleeps.
+
+    The resilient client and the crawl step above it each get one.
+    """
+    return RetryPolicy(
+        max_attempts=knobs["retry_attempts"],
+        backoff_base=knobs["retry_backoff_base"],
+        backoff_cap=knobs["retry_backoff_cap"],
+        jitter=knobs["retry_jitter"],
+        clock=SYSTEM_CLOCK,
+    )
+
+
 class _WorkerState:
     """A worker process's mutable crawl state (journal view + stats)."""
 
     def __init__(self, config: WorkerConfig):
         self.config = config
         registry = default_registry()
-        self.registry = registry
         self.store = VideoStore(config.store_path, registry)
         self.journal = CheckpointJournal(config.journal_dir)
+        knobs = vars(config)
         self.client = ResilientYoutubeClient(
             config.host,
             config.port,
             registry=registry,
             timeout=config.timeout,
-            retry=RetryPolicy(
-                max_attempts=config.retry_attempts,
-                backoff_base=config.retry_backoff_base,
-                backoff_cap=config.retry_backoff_cap,
-                jitter=config.retry_jitter,
-            ),
+            retry=_retry_policy(knobs),
             breaker=CircuitBreaker(
                 failure_threshold=config.breaker_threshold,
                 reset_timeout=config.breaker_reset,
             ),
             request_deadline=config.request_deadline,
         )
-        self.retry = RetryPolicy(
-            max_attempts=config.retry_attempts,
-            backoff_base=config.retry_backoff_base,
-            backoff_cap=config.retry_backoff_cap,
-            jitter=config.retry_jitter,
-            retryable=(TransientAPIError,) + tuple(self.client.retry.retryable),
-        )
-        self.bucket: Optional[ClockedTokenBucket] = None
-        if config.requests_per_second is not None:
-            self.bucket = ClockedTokenBucket(
-                config.requests_per_second, max(1, config.politeness_burst)
-            )
         #: Lifetime stats, journaled cumulatively (replay keeps the last).
         self.stats = CrawlStats()
+        self.step = CrawlStep(
+            self.client,
+            self.stats,
+            _retry_policy(knobs),
+            SYSTEM_CLOCK,
+            requests_per_second=config.requests_per_second,
+            politeness_burst=max(1, config.politeness_burst),
+            max_depth=config.max_depth,
+            related_page_size=config.related_page_size,
+            max_related_per_video=config.max_related_per_video,
+        )
         #: The journal's replay view: what a reader of this worker's
         #: journal would reconstruct. Kept in memory so compaction can
         #: fold it into a full snapshot without dropping anything.
@@ -231,104 +235,22 @@ class _WorkerState:
 
     # -- visiting -------------------------------------------------------------
 
-    def throttle(self) -> None:
-        if self.bucket is not None:
-            self.stats.politeness_wait_seconds += self.bucket.acquire()
+    def visit(self, video_id: str, depth: int) -> Tuple[bool, Optional[Video]]:
+        """Visit one entry through the crawl step, then store and journal it.
 
-    def with_retries(self, request):
-        """Run a request under the worker retry policy; None = gave up."""
-
-        def attempt():
-            self.throttle()
-            return request()
-
-        try:
-            return self.retry.run(attempt, on_failure=self._note_failure)
-        except self.retry.retryable:
-            self.stats.retries_exhausted += 1
-            return None
-
-    def _note_failure(self, exc, attempt, delay) -> None:
-        if isinstance(exc, TransientAPIError):
-            self.stats.transient_errors += 1
-        else:
-            self.stats.transport_errors += 1
-
-    def visit(
-        self, video_id: str, depth: int, requests: Dict[str, int]
-    ) -> Tuple[bool, Optional[Video]]:
-        """Fetch → decode → expand → store → journal one entry.
-
-        Returns ``(completed, video)``: ``(True, None)`` for a 404,
-        ``(False, None)`` when retries were exhausted (the supervisor
-        requeues the entry). Store write happens *before* the journal
-        append, so a journaled visit is always store-durable.
+        Returns the step's ``(completed, video)``: a 404 completes the
+        entry without a video; ``(False, None)`` means retries ran out
+        (the supervisor requeues the entry, so it is not journaled). The
+        store write happens *before* the journal append, so a journaled
+        visit is always store-durable.
         """
-        requests["get_video"] = requests.get("get_video", 0) + 1
-        try:
-            resource = self.with_retries(
-                lambda: self.client.get_video(video_id)
-            )
-        except VideoNotFoundError:
-            self.stats.not_found += 1
-            self.journal_visit(None)
-            return True, None
-        if resource is None:
-            return False, None
-        popularity = self._decode_popularity(resource)
-        expand = (
-            self.config.max_depth is None or depth < self.config.max_depth
-        )
-        related: Tuple[str, ...] = ()
-        if expand:
-            related = self._fetch_related(video_id, requests)
-        video = Video(
-            video_id=resource.video_id,
-            title=resource.title,
-            uploader=resource.uploader,
-            upload_date=resource.upload_date,
-            views=resource.view_count,
-            tags=resource.tags,
-            popularity=popularity,
-            related_ids=related,
-        )
-        self.store.add(video)
-        self.journal_visit(video)
-        self.stats.record_fetch(depth)
-        return True, video
-
-    def _decode_popularity(self, resource) -> Optional[PopularityVector]:
-        if resource.stats_map_url is None:
-            return None
-        try:
-            chart = parse_map_chart_url(resource.stats_map_url)
-            return popularity_from_chart(chart, self.registry)
-        except ChartError:
-            self.stats.map_decode_failures += 1
-            return None
-
-    def _fetch_related(
-        self, video_id: str, requests: Dict[str, int]
-    ) -> Tuple[str, ...]:
-        collected: List[str] = []
-        token: Optional[str] = None
-        while len(collected) < self.config.max_related_per_video:
-            requests["related_videos"] = requests.get("related_videos", 0) + 1
-            page = self.with_retries(
-                lambda token=token: self.client.related_videos(
-                    video_id,
-                    page_token=token,
-                    max_results=self.config.related_page_size,
-                )
-            )
-            if page is None:
-                break
-            self.stats.related_pages += 1
-            collected.extend(page.items)
-            token = page.next_page_token
-            if token is None:
-                break
-        return tuple(collected[: self.config.max_related_per_video])
+        completed, video = self.step.visit(video_id, depth)
+        if video is not None:
+            self.store.add(video)
+            self.stats.record_fetch(depth)
+        if completed:
+            self.journal_visit(video)
+        return completed, video
 
     def close(self) -> None:
         self.flush()
@@ -367,21 +289,20 @@ def _worker_main(config: WorkerConfig, tasks, results) -> None:
                 break
             _, lease_id, entries = message
             before = state.stats.to_dict()
+            state.step.requests = {}
             payload = {
                 "completed": [],  # [vid, depth] visited to completion
                 "recorded": [],  # [vid, depth] that produced a video
                 "failed": [],  # [vid, depth] abandoned (retries gone)
                 "admitted": [],  # [vid, depth] related discoveries
-                "requests": {},  # estimated quota spend, per kind
+                "requests": state.step.requests,  # estimated quota spend
                 "stats": {},
             }
             kind = "done"
             try:
                 state.journal_lease(entries)
                 for video_id, depth in entries:
-                    completed, video = state.visit(
-                        video_id, depth, payload["requests"]
-                    )
+                    completed, video = state.visit(video_id, depth)
                     if completed:
                         payload["completed"].append([video_id, depth])
                         if video is not None:
@@ -692,6 +613,9 @@ class DistributedCrawlSupervisor:
     def run(self) -> CrawlResult:
         """Seed (or resume), supervise workers to completion, report."""
         self._load_or_init()
+        # The stop flags describe this run; the counters stay cumulative.
+        self._stats.stopped_by_budget = False
+        self._stats.stopped_by_quota = False
         if not self._seeded and not self._quota_hit:
             self._seed()
             self._snapshot()
@@ -762,45 +686,26 @@ class DistributedCrawlSupervisor:
         self._seeded = checkpoint.seeded
 
     def _seed(self) -> None:
+        knobs = self._worker_knobs
         client = ResilientYoutubeClient(
             self.host,
             self.port,
             registry=self.registry,
-            timeout=self._worker_knobs["timeout"],
-            retry=RetryPolicy(
-                max_attempts=self._worker_knobs["retry_attempts"],
-                backoff_base=self._worker_knobs["retry_backoff_base"],
-                backoff_cap=self._worker_knobs["retry_backoff_cap"],
-                jitter=self._worker_knobs["retry_jitter"],
-            ),
+            timeout=knobs["timeout"],
+            retry=_retry_policy(knobs),
         )
-        retry = RetryPolicy(
-            max_attempts=self._worker_knobs["retry_attempts"],
-            backoff_base=self._worker_knobs["retry_backoff_base"],
-            backoff_cap=self._worker_knobs["retry_backoff_cap"],
-            jitter=self._worker_knobs["retry_jitter"],
-            retryable=(TransientAPIError,) + tuple(client.retry.retryable),
-        )
+        retry = _retry_policy(knobs)
+        step = CrawlStep(client, self._stats, retry, SYSTEM_CLOCK)
         try:
             for country in self.seed_countries:
                 self.quota.note("most_popular")
                 try:
-                    page = retry.run(
-                        lambda country=country: client.most_popular(
-                            country,
-                            max_results=min(self.seeds_per_country, 50),
-                        )
-                    )
-                except retry.retryable:
-                    self._stats.retries_exhausted += 1
-                    continue
+                    seeds = step.seed(country, self.seeds_per_country)
                 except QuotaExceededError:
                     self._quota_hit = True
                     break
-                self._stats.seed_pages += 1
-                self._frontier.push_all(
-                    page.items[: self.seeds_per_country], 0
-                )
+                if seeds is not None:
+                    self._frontier.push_all(seeds, 0)
             self._seeded = True
         finally:
             client.close()

@@ -44,6 +44,10 @@ class BFSFrontier:
         """Dequeue the oldest entry; raises :class:`IndexError` when empty."""
         return self._queue.popleft()
 
+    def requeue(self, video_id: str, depth: int) -> None:
+        """Put a popped but unfinished entry back at the front."""
+        self._queue.appendleft((video_id, depth))
+
     def __len__(self) -> int:
         """Number of entries currently queued."""
         return len(self._queue)

@@ -1,20 +1,18 @@
-"""Crawl politeness: a token-bucket rate limiter in simulated time.
+"""Crawl politeness: a continuous-time token-bucket rate limiter.
 
 A real crawl must respect the provider's rate expectations or get
-banned; the 2011 tooling throttled itself. The limiter here is a
-classic continuous-time token bucket, but — like the crawler's
-exponential backoff — it runs on a *simulated clock*: callers are told
-how long they would have waited and account the time instead of
-sleeping, keeping experiments fast while making throttling costs
-measurable (they show up in
-:attr:`~repro.crawler.stats.CrawlStats.politeness_wait_seconds`).
+banned; the 2011 tooling throttled itself. The bucket itself never
+reads a clock or sleeps: callers pass the current time and get back how
+long to wait. The crawl step (:mod:`repro.crawler.step`) pays that wait
+through its :class:`~repro.clock.Clock` — simulated in the in-process
+crawler, where throttling costs show up in
+:attr:`~repro.crawler.stats.CrawlStats.politeness_wait_seconds` without
+slowing experiments, real in distributed workers — and the serving
+origin feeds it virtual event-loop time.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.clock import SYSTEM_CLOCK, Clock
 from repro.errors import ConfigError
 
 
@@ -38,7 +36,7 @@ class TokenBucket:
         self._last_time = 0.0
 
     def acquire(self, now: float) -> float:
-        """Take one token at simulated time ``now``; returns the wait.
+        """Take one token at time ``now``; returns the wait.
 
         ``now`` must be monotonically nondecreasing across calls. The
         returned wait is the extra delay the caller must add to its
@@ -65,39 +63,3 @@ class TokenBucket:
     @property
     def available_tokens(self) -> float:
         return self._tokens
-
-
-class ClockedTokenBucket:
-    """A :class:`TokenBucket` bound to a :class:`~repro.clock.Clock`.
-
-    The raw bucket is pure simulated time — the caller supplies ``now``
-    and accounts the wait itself. This wrapper is for callers that live
-    on a real (or :class:`~repro.clock.ManualClock`-simulated) timeline:
-    ``acquire()`` reads the clock, *pays* any throttle wait through
-    ``clock.sleep``, and returns it. With the default
-    :data:`~repro.clock.SYSTEM_CLOCK` this is a production rate
-    limiter; with a ``ManualClock`` the waits are instant and
-    assertable, so tests never depend on real delays.
-    """
-
-    def __init__(self, rate: float, burst: int = 5, clock: Optional[Clock] = None):
-        self._bucket = TokenBucket(rate, burst)
-        self._clock = clock if clock is not None else SYSTEM_CLOCK
-        self._wait_seconds = 0.0
-
-    def acquire(self) -> float:
-        """Take one token, sleeping out any throttle wait; returns it."""
-        wait = self._bucket.acquire(self._clock.now())
-        if wait > 0:
-            self._clock.sleep(wait)
-            self._wait_seconds += wait
-        return wait
-
-    @property
-    def wait_seconds(self) -> float:
-        """Total throttle time paid through the clock so far."""
-        return self._wait_seconds
-
-    @property
-    def available_tokens(self) -> float:
-        return self._bucket.available_tokens

@@ -8,31 +8,25 @@ or on quota exhaustion.
 Per-video work mirrors the 2011 tooling: fetch metadata (with
 retry/backoff on transient failures), *decode the popularity world map
 from its chart URL* (the paper's 0–61 extraction), page through the
-related feed, record the video, and enqueue its neighbours.
+related feed — the shared :class:`~repro.crawler.step.CrawlStep` —
+then record the video and enqueue its neighbours.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.api.service import VideoResource, YoutubeService
-from repro.chartmap.mapchart import parse_map_chart_url, popularity_from_chart
+from repro.api.service import YoutubeService
+from repro.clock import ManualClock
 from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.frontier import BFSFrontier
-from repro.crawler.politeness import TokenBucket
 from repro.crawler.stats import CrawlStats
+from repro.crawler.step import CrawlStep
 from repro.datamodel.dataset import Dataset
-from repro.datamodel.popularity import PopularityVector
 from repro.datamodel.video import Video
 from repro.durability.journal import CheckpointJournal
-from repro.errors import (
-    ChartError,
-    ConfigError,
-    QuotaExceededError,
-    TransientAPIError,
-    VideoNotFoundError,
-)
+from repro.errors import ConfigError, QuotaExceededError
 from repro.resilience import RetryPolicy
 from repro.world.countries import SEED_COUNTRIES
 
@@ -126,14 +120,6 @@ class SnowballCrawler:
         self.related_page_size = related_page_size
         self.max_related_per_video = max_related_per_video
 
-        if requests_per_second is not None:
-            self._rate_limiter: Optional[TokenBucket] = TokenBucket(
-                requests_per_second, politeness_burst
-            )
-        else:
-            self._rate_limiter = None
-        self._clock = 0.0
-
         self._frontier = BFSFrontier()
         self._videos: List[Video] = []
         self._stats = CrawlStats()
@@ -145,21 +131,37 @@ class SnowballCrawler:
         self._delta_popped = 0
         self._delta_admitted: List[Tuple[str, int]] = []
         self._delta_videos: List[Video] = []
-        if retry_policy is not None:
-            self._retry = retry_policy
-        else:
-            self._retry = RetryPolicy(
+
+        # Crawl time is simulated: backoff and politeness waits advance
+        # this clock and are accounted in the stats, never slept.
+        clock = ManualClock()
+        if retry_policy is None:
+            retry_policy = RetryPolicy(
                 max_attempts=max_retries + 1,
                 backoff_base=backoff_base,
                 backoff_cap=float("inf"),
                 jitter=0.0,
-                sleep=self._backoff_sleep,
+                clock=clock,
             )
+        self._step = CrawlStep(
+            service,
+            self._stats,
+            retry_policy,
+            clock,
+            requests_per_second=requests_per_second,
+            politeness_burst=politeness_burst,
+            max_depth=max_depth,
+            related_page_size=related_page_size,
+            max_related_per_video=max_related_per_video,
+        )
 
     # -- public API -------------------------------------------------------------
 
     def run(self) -> CrawlResult:
         """Crawl until the budget, the frontier, or the quota runs out."""
+        # The stop flags describe this run; the counters stay cumulative.
+        self._stats.stopped_by_budget = False
+        self._stats.stopped_by_quota = False
         if not self._seeded:
             self._seed()
         while self._frontier and len(self._videos) < self.max_videos:
@@ -167,6 +169,8 @@ class SnowballCrawler:
             try:
                 self._visit(video_id, depth)
             except QuotaExceededError:
+                # Unfinished: a resumed crawl must visit it again.
+                self._frontier.requeue(video_id, depth)
                 self._stats.stopped_by_quota = True
                 break
             self._delta_popped += 1
@@ -206,7 +210,9 @@ class SnowballCrawler:
         crawler = cls(service, **kwargs)
         crawler._frontier = checkpoint.restore_frontier()
         crawler._videos = list(checkpoint.videos)
-        crawler._stats = CrawlStats.from_dict(checkpoint.stats.to_dict())
+        crawler._stats = crawler._step.stats = CrawlStats.from_dict(
+            checkpoint.stats.to_dict()
+        )
         crawler._seeded = checkpoint.seeded
         return crawler
 
@@ -271,19 +277,16 @@ class SnowballCrawler:
         """Fill the frontier from the per-country most-popular feeds."""
         for country in self.seed_countries:
             try:
-                page = self._with_retries(
-                    lambda: self.service.most_popular(
-                        country, max_results=min(self.seeds_per_country, 50)
-                    )
-                )
+                seeds = self._step.seed(country, self.seeds_per_country)
             except QuotaExceededError:
                 self._stats.stopped_by_quota = True
                 break
-            if page is None:
-                continue
-            self._stats.seed_pages += 1
-            self._admit(page.items[: self.seeds_per_country], depth=0)
-        self._seeded = True
+            if seeds is not None:
+                self._admit(seeds, depth=0)
+        else:
+            # Only a seeding the quota did not cut short is complete; a
+            # resume re-reads every feed (admitted seeds are deduplicated).
+            self._seeded = True
         # Seeds become durable immediately: a crash during the first
         # batch then resumes from the seeded frontier, not from zero.
         self._flush_journal()
@@ -296,107 +299,11 @@ class SnowballCrawler:
 
     def _visit(self, video_id: str, depth: int) -> None:
         """Fetch, record, and expand one video."""
-        resource = self._with_retries(lambda: self._get_video(video_id))
-        if resource is None:
+        _, video = self._step.visit(video_id, depth)
+        if video is None:
             return
-        popularity = self._decode_popularity(resource)
-        related: Tuple[str, ...] = ()
-        expand = self.max_depth is None or depth < self.max_depth
-        if expand:
-            related = self._fetch_related(video_id)
-        video = Video(
-            video_id=resource.video_id,
-            title=resource.title,
-            uploader=resource.uploader,
-            upload_date=resource.upload_date,
-            views=resource.view_count,
-            tags=resource.tags,
-            popularity=popularity,
-            related_ids=related,
-        )
         self._videos.append(video)
         if self._journal is not None:
             self._delta_videos.append(video)
         self._stats.record_fetch(depth)
-        if expand:
-            self._admit(related, depth + 1)
-
-    def _get_video(self, video_id: str) -> Optional[VideoResource]:
-        try:
-            return self.service.get_video(video_id)
-        except VideoNotFoundError:
-            self._stats.not_found += 1
-            return None
-
-    def _decode_popularity(
-        self, resource: VideoResource
-    ) -> Optional[PopularityVector]:
-        """The paper's extraction step: chart URL → popularity vector."""
-        if resource.stats_map_url is None:
-            return None
-        try:
-            chart = parse_map_chart_url(resource.stats_map_url)
-            return popularity_from_chart(
-                chart, self.service.registry
-            )
-        except ChartError:
-            self._stats.map_decode_failures += 1
-            return None
-
-    def _fetch_related(self, video_id: str) -> Tuple[str, ...]:
-        """Page through the related feed up to ``max_related_per_video``."""
-        collected: List[str] = []
-        token: Optional[str] = None
-        while len(collected) < self.max_related_per_video:
-            page = self._with_retries(
-                lambda token=token: self.service.related_videos(
-                    video_id,
-                    page_token=token,
-                    max_results=self.related_page_size,
-                )
-            )
-            if page is None:
-                break
-            self._stats.related_pages += 1
-            collected.extend(page.items)
-            token = page.next_page_token
-            if token is None:
-                break
-        return tuple(collected[: self.max_related_per_video])
-
-    def _with_retries(self, request):
-        """Run ``request`` under the retry policy.
-
-        Returns the request's result, or ``None`` when retries are
-        exhausted (the caller skips the work item). Quota errors always
-        propagate — there is no point retrying those.
-        """
-
-        def attempt():
-            self._throttle()
-            return request()
-
-        try:
-            return self._retry.run(attempt, on_failure=self._note_failure)
-        except self._retry.retryable:
-            self._stats.retries_exhausted += 1
-            return None
-
-    def _note_failure(self, exc, attempt, delay) -> None:
-        if isinstance(exc, TransientAPIError):
-            self._stats.transient_errors += 1
-        else:
-            self._stats.transport_errors += 1
-
-    def _backoff_sleep(self, seconds: float) -> None:
-        """Default retry sleep: pay the wait on the simulated clock."""
-        self._stats.backoff_seconds += seconds
-        self._clock += seconds
-
-    def _throttle(self) -> None:
-        """Pay the politeness limiter in simulated time (if configured)."""
-        if self._rate_limiter is None:
-            return
-        wait = self._rate_limiter.acquire(self._clock)
-        self._clock += wait
-        self._stats.politeness_wait_seconds += wait
+        self._admit(video.related_ids, depth + 1)

@@ -14,7 +14,6 @@ from repro.api.transport import (
     TransportError,
     YoutubeAPIServer,
 )
-from repro.crawler.parallel import ParallelSnowballCrawler
 from repro.crawler.snowball import SnowballCrawler
 from repro.errors import (
     BadRequestError,
@@ -238,13 +237,6 @@ class TestCrawlOverTheWire:
         assert over_wire.dataset.video_ids() == local.dataset.video_ids()
         for video in over_wire.dataset:
             assert video == local.dataset.get(video.video_id)
-
-    def test_parallel_crawl_over_shared_client(self, server, tiny_universe):
-        with RemoteYoutubeClient(server.host, server.port) as remote:
-            result = ParallelSnowballCrawler(
-                remote, workers=4, max_videos=80
-            ).run()
-        assert len(result.dataset) == 80
 
     def test_multiple_concurrent_clients(self, server, tiny_universe):
         results = {}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.quota import QuotaBudget
 from repro.api.service import YoutubeService
 from repro.crawler.checkpoint import CrawlCheckpoint
 from repro.crawler.snowball import SnowballCrawler
@@ -36,6 +37,30 @@ class TestResumeEquivalence:
     def test_stats_accumulate_across_resume(self, tiny_universe):
         result = crawl_with_interruption(tiny_universe, 20, 60)
         assert result.stats.fetched == 60
+
+
+class TestStopFlagsAfterResume:
+    """The stop flags describe the latest run; the counters accumulate."""
+
+    def test_budget_flag_clears_when_the_resumed_crawl_drains(
+        self, tiny_universe
+    ):
+        result = crawl_with_interruption(tiny_universe, 30, 10_000)
+        assert len(result.dataset) < 10_000  # the frontier ran dry
+        assert not result.stats.stopped_by_budget
+        assert result.stats.fetched == len(result.dataset)
+
+    def test_quota_flag_clears_when_resumed_on_an_unmetered_service(
+        self, tiny_universe
+    ):
+        metered = YoutubeService(tiny_universe, quota=QuotaBudget(limit=150))
+        first = SnowballCrawler(metered, max_videos=10_000)
+        assert first.run().stats.stopped_by_quota
+        resumed = SnowballCrawler.resume(
+            YoutubeService(tiny_universe), first.checkpoint(), max_videos=80
+        ).run()
+        assert not resumed.stats.stopped_by_quota
+        assert resumed.stats.stopped_by_budget
 
 
 class TestCheckpointFile:

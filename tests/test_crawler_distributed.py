@@ -8,6 +8,7 @@ store upserts + journal replay on reclaim = exactly-once collection.
 """
 
 import itertools
+import os
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.crawler.snowball import SnowballCrawler
 from repro.crawler.stats import CrawlStats
 from repro.datamodel.popularity import PopularityVector
 from repro.datamodel.video import Video
+from repro.durability.journal import CheckpointJournal
 from repro.errors import CheckpointError, ConfigError
 from repro.synth.universe import UniverseConfig, build_universe
 
@@ -211,6 +213,30 @@ class TestResume:
             result = second.run()
         assert records(result) == baseline
         assert result.stats.journal_replays >= 1
+        assert not result.stats.stopped_by_budget  # the frontier ran dry
+
+    def test_stop_flags_restored_from_the_journal_are_cleared(self, tmp_path):
+        """A journal snapshot of a run that stopped on its budget and the
+        quota, with nothing left to crawl: the resumed run stopped on
+        neither, and it needs no server to say so."""
+        store, workdir = supervisor_paths(tmp_path)
+        stats = CrawlStats()
+        stats.stopped_by_budget = stats.stopped_by_quota = True
+        journal = CheckpointJournal(os.path.join(workdir, "supervisor"))
+        journal.write_snapshot(
+            CrawlCheckpoint(
+                pending=[], admitted=[], videos=[], stats=stats, seeded=True
+            )
+        )
+        journal.close()
+        with DistributedCrawlSupervisor(
+            "127.0.0.1", 1, store_path=store, workdir=workdir
+        ) as supervisor:
+            result = supervisor.run()
+        assert result.stats.journal_replays == 1
+        assert result.stats.workers_spawned == 0
+        assert not result.stats.stopped_by_budget
+        assert not result.stats.stopped_by_quota
 
     def test_resume_with_kills_still_exact(self, server, baseline, tmp_path):
         """Kills in the first run + resume in a second run compose."""

@@ -1,9 +1,8 @@
-"""Journaled crawling: crash/resume identity for both crawlers."""
+"""Journaled crawling: crash/resume identity."""
 
 import pytest
 
 from repro.api.service import YoutubeService
-from repro.crawler.parallel import ParallelSnowballCrawler
 from repro.crawler.snowball import SnowballCrawler
 from repro.durability.fsfaults import FaultyFilesystem, SimulatedCrash
 from repro.durability.journal import CheckpointJournal
@@ -118,82 +117,3 @@ class TestJournaledSequentialCrawl:
         # Still completes correctly from whatever survived.
         result = resumed.run()
         assert len(result.dataset) == 30
-
-
-class TestJournaledParallelCrawl:
-    def test_journaled_run_then_resume_is_identical(
-        self, tiny_universe, tmp_path
-    ):
-        journaled = ParallelSnowballCrawler(
-            YoutubeService(tiny_universe),
-            workers=4,
-            max_videos=10_000,
-            journal=CheckpointJournal(tmp_path),
-            checkpoint_every=20,
-        )
-        first = journaled.run()
-        assert first.stats.checkpoints_written > 0
-        assert journaled.journal_errors == []
-
-        resumed = ParallelSnowballCrawler.resume_from_journal(
-            YoutubeService(tiny_universe),
-            CheckpointJournal(tmp_path),
-            workers=4,
-            max_videos=10_000,
-        )
-        second = resumed.run()
-        assert second.stats.journal_replays == 1
-        assert records_of(second) == records_of(first)
-
-    def test_snapshot_requeues_in_flight_items(self, tiny_universe, tmp_path):
-        crawler = ParallelSnowballCrawler(
-            YoutubeService(tiny_universe),
-            workers=2,
-            max_videos=100,
-            journal=CheckpointJournal(tmp_path),
-            checkpoint_every=10,
-        )
-        crawler._seed()
-        crawler._seeded = True
-        claimed = crawler._frontier.claim()
-        checkpoint = crawler.checkpoint()
-        # The claimed-but-unfinished item must lead the pending queue.
-        assert checkpoint.pending[0] == claimed
-        crawler._frontier.release(claimed)
-
-    def test_mid_crawl_journal_failure_does_not_kill_the_crawl(
-        self, tiny_universe, tmp_path
-    ):
-        # Every fsync fails: journal snapshots cannot be written, but the
-        # crawl itself must still complete (durability degrades loudly).
-        fs = FaultyFilesystem(seed=1, fault_rate=0.99, kinds=("eio",))
-        crawler = ParallelSnowballCrawler(
-            YoutubeService(tiny_universe),
-            workers=2,
-            max_videos=80,
-            journal=CheckpointJournal(tmp_path, fs=fs),
-            checkpoint_every=10,
-        )
-        result = crawler.run()
-        assert len(result.dataset) == 80
-        assert crawler.journal_errors  # the failures were recorded
-
-    def test_plain_checkpoint_resume_equivalence(self, tiny_universe):
-        crawler = ParallelSnowballCrawler(
-            YoutubeService(tiny_universe), workers=3, max_videos=50
-        )
-        crawler.run()
-        checkpoint = crawler.checkpoint()
-        resumed = ParallelSnowballCrawler.resume(
-            YoutubeService(tiny_universe),
-            checkpoint,
-            workers=3,
-            max_videos=10_000,
-        )
-        full = resumed.run()
-        exhaustive = ParallelSnowballCrawler(
-            YoutubeService(tiny_universe), workers=3, max_videos=10_000
-        ).run()
-        assert set(full.dataset.video_ids()) == set(
-            exhaustive.dataset.video_ids()
-        )

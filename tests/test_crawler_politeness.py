@@ -3,9 +3,13 @@
 import pytest
 
 from repro.api.service import YoutubeService
+from repro.clock import ManualClock
 from repro.crawler.politeness import TokenBucket
 from repro.crawler.snowball import SnowballCrawler
+from repro.crawler.stats import CrawlStats
+from repro.crawler.step import CrawlStep
 from repro.errors import ConfigError
+from repro.resilience import RetryPolicy
 
 
 class TestTokenBucket:
@@ -97,40 +101,41 @@ class TestCrawlerIntegration:
         )
 
 
-class TestClockedTokenBucket:
-    """The bucket bound to an injectable clock (no wall-time coupling)."""
+class TestThrottlePaidThroughClock:
+    """The crawl step pays politeness waits through its clock."""
 
-    def test_burst_is_free_on_manual_clock(self):
-        from repro.clock import ManualClock
-        from repro.crawler.politeness import ClockedTokenBucket
-
+    @staticmethod
+    def throttled_step(service, rate, burst):
         clock = ManualClock()
-        bucket = ClockedTokenBucket(rate=2.0, burst=3, clock=clock)
-        assert [bucket.acquire() for _ in range(3)] == [0.0, 0.0, 0.0]
+        step = CrawlStep(
+            service,
+            CrawlStats(),
+            RetryPolicy(max_attempts=1),
+            clock,
+            requests_per_second=rate,
+            politeness_burst=burst,
+        )
+        return step, clock
+
+    def test_burst_is_free_on_manual_clock(self, tiny_service):
+        step, clock = self.throttled_step(tiny_service, rate=2.0, burst=3)
+        for _ in range(3):
+            step.seed("US", 1)
         assert clock.sleeps == []
-        assert bucket.wait_seconds == 0.0
+        assert step.stats.politeness_wait_seconds == 0.0
 
-    def test_throttle_paid_through_clock_sleep(self):
-        from repro.clock import ManualClock
-        from repro.crawler.politeness import ClockedTokenBucket
-
-        clock = ManualClock()
-        bucket = ClockedTokenBucket(rate=2.0, burst=1, clock=clock)
-        bucket.acquire()
-        wait = bucket.acquire()
-        assert wait == pytest.approx(0.5)
+    def test_throttle_paid_through_clock_sleep(self, tiny_service):
+        step, clock = self.throttled_step(tiny_service, rate=2.0, burst=1)
+        step.seed("US", 1)
+        step.seed("US", 1)
         assert clock.sleeps == [pytest.approx(0.5)]
-        assert bucket.wait_seconds == pytest.approx(0.5)
+        assert step.stats.politeness_wait_seconds == pytest.approx(0.5)
 
-    def test_steady_state_rate_advances_simulated_time(self):
-        from repro.clock import ManualClock
-        from repro.crawler.politeness import ClockedTokenBucket
-
-        clock = ManualClock()
-        bucket = ClockedTokenBucket(rate=10.0, burst=1, clock=clock)
+    def test_steady_state_rate_advances_simulated_time(self, tiny_service):
+        step, clock = self.throttled_step(tiny_service, rate=10.0, burst=1)
         for _ in range(101):
-            bucket.acquire()
+            step.seed("US", 1)
         # 100 throttled requests at 10 rps: ten simulated seconds, paid
         # instantly on the manual clock.
         assert clock.now() == pytest.approx(10.0)
-        assert bucket.wait_seconds == pytest.approx(10.0)
+        assert step.stats.politeness_wait_seconds == pytest.approx(10.0)
