@@ -13,7 +13,8 @@ stream end to end:
    cold rebuild, verified at the end);
 2. a :class:`~repro.analysis.trending.TrendingDetector` turns each
    batch's touched rows into decayed per-country delta rates — "what is
-   moving, where, right now" — for videos and tags;
+   moving, where, right now" — for videos, and sums them per tag when
+   asked;
 3. the detector's per-country demand vector feeds
    :meth:`~repro.serving.planner.AdaptiveTagPlanner.observe_demand`, so
    the next re-warm pushes the videos of *trending* tags toward the

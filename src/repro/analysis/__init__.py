@@ -38,7 +38,6 @@ from repro.analysis.conjecture import (
 )
 from repro.analysis.cooccurrence import CooccurrenceGraph, geographic_coherence
 from repro.analysis.signatures import CountrySignatures, TagLift
-from repro.analysis.bootstrap import BootstrapCI, bootstrap_tag_ci
 from repro.analysis.popularity import (
     PopularityLocalityResult,
     popularity_vs_locality,
@@ -79,8 +78,6 @@ __all__ = [
     "geographic_coherence",
     "CountrySignatures",
     "TagLift",
-    "BootstrapCI",
-    "bootstrap_tag_ci",
     "PopularityLocalityResult",
     "popularity_vs_locality",
     "SampleBiasReport",

@@ -7,21 +7,29 @@ The :class:`TrendingDetector` consumes the
 :class:`~repro.engine.incremental.ApplyResult` of every batch the
 :class:`~repro.engine.incremental.IncrementalEngine` absorbs and
 maintains exponentially decayed per-country view-delta rates for every
-video row and every tag:
+video row:
 
 - a batch adds ``row_views_added[i]`` views to row *i*; the detector
   spreads that impulse across countries proportional to the row's
   *current* Eq. (1)–(2) estimate shares (the engine just recomputed
   them, so the split reflects the video's geography as reconstructed
   from its popularity map);
-- each of the row's tags receives the same per-country impulse, so a
-  tag's score is the decayed sum of its moving members;
 - all scores decay with a half-life: an impulse of *w* views observed
   ``Δt`` seconds ago is worth ``w · 2^(−Δt / half_life)`` now.
 
-Decay is applied lazily — each surface stores raw accumulated impulse
-plus its last-touch timestamp, and queries fold the elapsed decay in —
-so :meth:`~TrendingDetector.update` costs O(touched), never O(V).
+A tag's score mirrors Eq. (3): it is the sum of its member videos'
+decayed scores, summed at read time over the engine's row→tag CSR. The
+detector keeps no per-tag state. Every score decays with the same
+half-life, so decay distributes over the sum, and the result equals
+depositing each batch's impulse onto every tag of its rows. That
+identity assumes a video's tags are fixed at arrival (the engine's
+row→tag CSR is append-only); an operation that changed a video's tags
+later would re-attribute its past impulses and break it.
+
+Decay is applied lazily — each row stores raw accumulated impulse plus
+its last-touch timestamp, and queries fold the elapsed decay in — so
+:meth:`~TrendingDetector.update` costs O(touched rows), never O(V), and
+a tag read costs O(row→tag entries).
 
 The output side feeds serving: :meth:`~TrendingDetector.top_tags` /
 :meth:`~TrendingDetector.top_videos` answer "what is moving in
@@ -50,7 +58,7 @@ TrendingEntry = Tuple[str, float]
 
 
 class TrendingDetector:
-    """Decayed per-region delta rates for videos and tags.
+    """Decayed per-region delta rates for videos; tags sum their members.
 
     Args:
         engine: The live engine whose batches this detector follows.
@@ -66,18 +74,19 @@ class TrendingDetector:
         self.engine = engine
         self.half_life = float(half_life)
         self._code_index = {code: i for i, code in enumerate(engine.codes)}
-        n_c = engine.n_countries
-        self._video_rate = np.zeros((0, n_c), dtype=np.float64)
+        self._video_rate = np.zeros((0, engine.n_countries), dtype=np.float64)
         self._video_last = np.zeros(0, dtype=np.float64)
-        self._tag_rate = np.zeros((0, n_c), dtype=np.float64)
-        self._tag_last = np.zeros(0, dtype=np.float64)
         self._now: Optional[float] = None
         self.batches_observed = 0
 
     # -- ingestion -----------------------------------------------------------
 
     def update(self, result: ApplyResult) -> None:
-        """Absorb one batch's :class:`ApplyResult` (call after ``apply``)."""
+        """Absorb one batch's :class:`ApplyResult` (call after ``apply``).
+
+        Deposits each moving row's impulse on that row only: O(touched
+        rows). Tags need no deposit (see :meth:`tag_scores`).
+        """
         if self._now is not None and result.timestamp < self._now:
             raise AnalysisError(
                 f"time ran backwards: result at t={result.timestamp} after "
@@ -101,82 +110,53 @@ class TrendingDetector:
         shares = np.where(totals > 0.0, est / np.where(totals > 0.0, totals, 1.0), 1.0 / n_c)
         impulse = added[:, None] * shares
 
-        self._deposit(self._video_rate, self._video_last, rows, impulse, result.timestamp)
-
-        tag_ids, counts = self.engine.tags_of_rows(rows)
-        if len(tag_ids):
-            per_entry = np.repeat(impulse, counts, axis=0)
-            order = np.argsort(tag_ids, kind="stable")
-            tag_sorted = tag_ids[order]
-            boundary = np.concatenate(([True], np.diff(tag_sorted) > 0))
-            unique_tags = tag_sorted[boundary]
-            tag_impulse = np.add.reduceat(
-                per_entry[order], np.flatnonzero(boundary), axis=0
-            )
-            self._deposit(
-                self._tag_rate, self._tag_last, unique_tags, tag_impulse,
-                result.timestamp,
-            )
-
-    def _deposit(
-        self,
-        rate: np.ndarray,
-        last: np.ndarray,
-        index: np.ndarray,
-        impulse: np.ndarray,
-        now: float,
-    ) -> None:
-        decay = np.exp2(-(now - last[index]) / self.half_life)
-        rate[index] = rate[index] * decay[:, None] + impulse
-        last[index] = now
+        rate, last = self._video_rate, self._video_last
+        decay = np.exp2(-(self._now - last[rows]) / self.half_life)
+        rate[rows] = rate[rows] * decay[:, None] + impulse
+        last[rows] = self._now
 
     def _grow(self) -> None:
-        n_c = self.engine.n_countries
-        for attr_rate, attr_last, n in (
-            ("_video_rate", "_video_last", self.engine.n_videos),
-            ("_tag_rate", "_tag_last", self.engine.n_tags),
-        ):
-            rate = getattr(self, attr_rate)
-            if n > len(rate):
-                cap = max(n, 2 * len(rate), 1024)
-                grown = np.zeros((cap, n_c), dtype=np.float64)
-                grown[: len(rate)] = rate
-                setattr(self, attr_rate, grown)
-                last = getattr(self, attr_last)
-                grown_last = np.zeros(cap, dtype=np.float64)
-                # Unseen entries decay from the current time, not t=0.
-                grown_last[:] = self._now if self._now is not None else 0.0
-                grown_last[: len(last)] = last
-                setattr(self, attr_last, grown_last)
+        n = self.engine.n_videos
+        if n > len(self._video_rate):
+            cap = max(n, 2 * len(self._video_rate), 1024)
+            rate = np.zeros((cap, self.engine.n_countries), dtype=np.float64)
+            rate[: len(self._video_rate)] = self._video_rate
+            # Unseen rows decay from the current time, not t=0.
+            last = np.full(cap, self._now or 0.0, dtype=np.float64)
+            last[: len(self._video_last)] = self._video_last
+            self._video_rate, self._video_last = rate, last
 
     # -- queries -------------------------------------------------------------
 
-    def _scores(
-        self, rate: np.ndarray, last: np.ndarray, n: int, country: Optional[str]
-    ) -> np.ndarray:
+    def video_scores(self, country: Optional[str] = None) -> np.ndarray:
+        """Decayed delta-rate score per engine row (global or one country)."""
+        n = self.engine.n_videos
         if self._now is None or not n:
             return np.zeros(n, dtype=np.float64)
+        self._grow()
         if country is None:
-            raw = rate[:n].sum(axis=1)
+            raw = self._video_rate[:n].sum(axis=1)
         else:
             try:
-                raw = rate[:n, self._code_index[country]]
+                raw = self._video_rate[:n, self._code_index[country]]
             except KeyError:
                 raise AnalysisError(
                     f"unknown country code {country!r}"
                 ) from None
-        return raw * np.exp2(-(self._now - last[:n]) / self.half_life)
-
-    def video_scores(self, country: Optional[str] = None) -> np.ndarray:
-        """Decayed delta-rate score per engine row (global or one country)."""
-        return self._scores(
-            self._video_rate, self._video_last, self.engine.n_videos, country
-        )
+        decay = np.exp2(-(self._now - self._video_last[:n]) / self.half_life)
+        return raw * decay
 
     def tag_scores(self, country: Optional[str] = None) -> np.ndarray:
-        """Decayed delta-rate score per tag id (global or one country)."""
-        return self._scores(
-            self._tag_rate, self._tag_last, self.engine.n_tags, country
+        """Decayed delta-rate score per tag id (global or one country).
+
+        A tag's score is the sum of its member videos'
+        :meth:`video_scores`, taken in one pass over the engine's
+        row→tag CSR: O(row→tag entries) per call.
+        """
+        indptr, tag_ids = self.engine.video_tag_csr
+        per_entry = np.repeat(self.video_scores(country), np.diff(indptr))
+        return np.bincount(
+            tag_ids, weights=per_entry, minlength=self.engine.n_tags
         )
 
     def top_videos(

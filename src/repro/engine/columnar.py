@@ -25,12 +25,12 @@ For large universes the dense fill — the only remaining per-video Python
 work — can shard across workers. The shard body is a pure-Python loop,
 so it holds the GIL: measured on the small/medium presets, a 4-thread
 pool moves 50k videos from 73 ms to 58 ms (≤1.25×) while serial
-extraction already runs ~700k videos/s. Threads therefore never pay by
-default; ``parallel="auto"`` *measures* a probe slice and only escalates
-to fork()ed worker processes writing disjoint row ranges of one
-``multiprocessing.shared_memory`` matrix when the projected serial time
-dwarfs the ~0.1 s pool spin-up. Every mode produces an identical
-dataset; the thread path remains available for callers that ask for it.
+extraction already runs ~700k videos/s. Threads therefore never pay,
+and the fill has no thread mode: ``parallel="auto"`` *measures* a
+probe slice and only escalates to fork()ed worker processes writing
+disjoint row ranges of one ``multiprocessing.shared_memory`` matrix
+when the projected serial time dwarfs the ~0.1 s pool spin-up. Every
+mode produces an identical dataset.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -61,7 +60,7 @@ SHARD_THRESHOLD = 250_000
 MAX_BUILD_WORKERS = 8
 
 #: How the dense fill may be parallelized (``build_columnar(parallel=)``).
-PARALLEL_MODES = ("auto", "serial", "thread", "process")
+PARALLEL_MODES = ("auto", "serial", "process")
 
 #: Rows timed by the ``auto`` probe before deciding serial vs process.
 _PROBE_VIDEOS = 2_048
@@ -167,16 +166,6 @@ def _extract_triples(
     return rows, cols, vals
 
 
-def _resolve_workers(n_videos: int, workers: Optional[int]) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ReconstructionError(f"workers must be >= 1, got {workers}")
-        return workers
-    if n_videos < SHARD_THRESHOLD:
-        return 1
-    return min(MAX_BUILD_WORKERS, os.cpu_count() or 1)
-
-
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -195,22 +184,6 @@ def _serial_fill(
 ) -> None:
     rows, cols, vals = _extract_triples(videos, 0, column_of)
     pop[rows, cols] = vals
-
-
-def _thread_fill(
-    pop: np.ndarray,
-    videos: Sequence[Video],
-    column_of: Dict[str, int],
-    workers: int,
-) -> None:
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_extract_triples, videos[lo:hi], lo, column_of)
-            for lo, hi in _shard_bounds(len(videos), workers)
-        ]
-        for future in futures:
-            rows, cols, vals = future.result()
-            pop[rows, cols] = vals
 
 
 #: Fork-inherited shard inputs for :func:`_process_fill` workers. Only
@@ -245,8 +218,8 @@ def _process_fill(
 ) -> None:
     """Dense fill across fork()ed processes over shared memory.
 
-    The GIL-free replacement for the thread fill: each child runs the
-    pure-Python triple extraction on its own core and scatters straight
+    Each child runs the pure-Python triple extraction on its own core
+    (the GIL would serialize threads) and scatters straight
     into a ``multiprocessing.shared_memory`` matrix (disjoint row
     ranges), so nothing but the tiny per-shard row counts crosses the
     pipe back. The parent copies the shared buffer into ``pop`` once and
@@ -289,9 +262,9 @@ def _choose_fill(
     ``auto`` is measured, not guessed: it times a :data:`_PROBE_VIDEOS`
     slice of the actual extraction, projects the serial cost, and only
     forks worker processes when that projection clears
-    :data:`_MIN_PARALLEL_SECONDS` on a multi-core host. Auto never picks
-    threads — the shard loop is GIL-bound (measured ≤1.25× at 4
-    threads) — but ``parallel="thread"`` keeps the pool available.
+    :data:`_MIN_PARALLEL_SECONDS` on a multi-core host. An explicit
+    ``workers`` count selects the process fill; without ``fork``
+    (e.g. Windows) every request falls back to serial.
     """
     parallel = "auto" if parallel is None else parallel
     if parallel not in PARALLEL_MODES:
@@ -303,20 +276,13 @@ def _choose_fill(
     n = len(videos)
     if parallel == "serial":
         return "serial", 1
-    if parallel in ("thread", "process"):
-        resolved = workers or min(MAX_BUILD_WORKERS, os.cpu_count() or 1)
-        if resolved <= 1 or n < 2 * resolved:
-            return "serial", 1
-        if parallel == "process" and not _fork_available():
-            return "thread", resolved
-        return parallel, resolved
-    # auto: legacy explicit worker counts keep the (thread) sharded path
-    # they asked for; otherwise decide serial-vs-process by measurement.
-    if workers is not None:
-        if workers <= 1 or n < 2 * workers:
-            return "serial", 1
-        return "thread", workers
     cpus = os.cpu_count() or 1
+    if parallel == "process" or workers is not None:
+        resolved = workers or min(MAX_BUILD_WORKERS, cpus)
+        if resolved <= 1 or n < 2 * resolved or not _fork_available():
+            return "serial", 1
+        return "process", resolved
+    # auto without a worker count: decide serial-vs-process by measurement.
     if n < SHARD_THRESHOLD or cpus < 2 or not _fork_available():
         return "serial", 1
     probe = min(_PROBE_VIDEOS, n)
@@ -344,9 +310,8 @@ def build_columnar(
             decide (up to :data:`MAX_BUILD_WORKERS`).
         parallel: One of :data:`PARALLEL_MODES`. The default ``"auto"``
             measures a probe slice and picks serial or fork()ed
-            processes over shared memory (see :func:`_choose_fill`);
-            ``"thread"`` keeps the legacy executor. Every mode builds an
-            identical dataset.
+            processes over shared memory (see :func:`_choose_fill`).
+            Every mode builds an identical dataset.
     """
     if registry is None:
         registry = default_registry()
@@ -363,8 +328,6 @@ def build_columnar(
     mode, resolved = _choose_fill(videos, column_of, workers, parallel)
     if mode == "serial":
         _serial_fill(pop, videos, column_of)
-    elif mode == "thread":
-        _thread_fill(pop, videos, column_of, resolved)
     else:
         _process_fill(pop, videos, column_of, resolved)
 

@@ -406,16 +406,18 @@ class IncrementalEngine:
         lo, hi = self._vt_indptr[row], self._vt_indptr[row + 1]
         return self._readonly(self._vt_flat[lo:hi])
 
-    def tags_of_rows(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Concatenated tag ids of many rows plus each row's tag count.
+    @property
+    def video_tag_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The row→tag CSR ``(indptr, tag_ids)``, read-only.
 
-        One vectorized gather — this is how the trending detector maps
-        a batch's touched rows onto the tags they move.
+        Row *r*'s tag ids, in uploader order, are
+        ``tag_ids[indptr[r]:indptr[r + 1]]``. Rows only ever append, so
+        a row's slice never changes once it has arrived.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self._vt_indptr[rows]
-        counts = self._vt_indptr[rows + 1] - starts
-        return self._vt_flat[self._flat_positions(starts, counts)], counts
+        return (
+            self._readonly(self._vt_indptr),
+            self._readonly(self._vt_flat[: self._vt_len]),
+        )
 
     @staticmethod
     def _readonly(array: np.ndarray) -> np.ndarray:

@@ -102,7 +102,7 @@ class TestBuild:
         np.testing.assert_array_equal(serial.indptr, sharded.indptr)
         np.testing.assert_array_equal(serial.indices, sharded.indices)
 
-    @pytest.mark.parametrize("parallel", ["thread", "process"])
+    @pytest.mark.parametrize("parallel", ["process"])
     def test_parallel_fill_identical_to_serial(
         self, tiny_dataset, registry, parallel
     ):
