@@ -17,7 +17,6 @@ from repro.placement.policies import (
 )
 from repro.placement.predictor import TagGeoPredictor
 from repro.viz.report import format_table
-from repro.world.geo import distance_matrix
 
 CAPACITY = 30
 REPLICAS = 8
@@ -27,7 +26,6 @@ def test_v6_serving_distance(benchmark, bench_pipeline, bench_trace, report_writ
     universe = bench_pipeline.universe
     dataset = bench_pipeline.dataset
     predictor = TagGeoPredictor(bench_pipeline.tag_table)
-    distances = distance_matrix(universe.registry)
 
     policies = [
         NoPlacement(),
@@ -44,7 +42,6 @@ def test_v6_serving_distance(benchmark, bench_pipeline, bench_trace, report_writ
             policy,
             capacity=CAPACITY,
             registry=universe.registry,
-            distances=distances,
         )
         if policy.name == "tags":
             reports[policy.name] = benchmark.pedantic(

@@ -187,9 +187,11 @@ class TrendingDetector:
         count = min(count, len(scores))
         if not count:
             return np.empty(0, dtype=np.int64)
-        # Stable sort on -score keeps row order among equals.
-        order = np.argsort(-scores, kind="stable")[:count]
-        return order[scores[order] > 0.0]
+        # Only rows at or above the count-th largest score (and above
+        # zero) are sorted; a stable sort keeps row order among equals.
+        kth = np.partition(scores, len(scores) - count)[len(scores) - count]
+        rows = np.flatnonzero(scores >= kth if kth > 0.0 else scores > 0.0)
+        return rows[np.argsort(-scores[rows], kind="stable")][:count]
 
     def demand_vector(self) -> np.ndarray:
         """Per-country decayed delta totals, aligned with ``engine.codes``.

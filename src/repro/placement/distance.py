@@ -18,9 +18,7 @@ rates look similar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Tuple
 
 from repro.datamodel.dataset import Dataset
 from repro.errors import PlacementError
@@ -69,7 +67,6 @@ def evaluate_serving_distance(
     capacity: int,
     registry: CountryRegistry,
     origin: str = "US",
-    distances: Optional[np.ndarray] = None,
 ) -> ServingDistanceReport:
     """Score ``policy`` by mean serving distance (see module docstring).
 
@@ -80,13 +77,10 @@ def evaluate_serving_distance(
         capacity: Per-country proactive storage budget (videos).
         registry: Country axis.
         origin: Country code hosting the provider's origin datacenter.
-        distances: Precomputed distance matrix (axis = registry order);
-            computed on demand otherwise.
     """
     if origin not in registry:
         raise PlacementError(f"unknown origin country: {origin!r}")
-    if distances is None:
-        distances = distance_matrix(registry)
+    distances = distance_matrix(registry)
     codes = registry.codes()
     index = {code: i for i, code in enumerate(codes)}
 

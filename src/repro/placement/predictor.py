@@ -33,6 +33,8 @@ class TagGeoPredictor:
         self.table = table
         self.weighting = weighting
         self._prior = table.reconstructor.traffic.as_vector()
+        self._matrix_videos: Optional[Tuple[Video, ...]] = None
+        self._matrix: Optional[np.ndarray] = None
 
     @property
     def registry(self) -> CountryRegistry:
@@ -44,6 +46,21 @@ class TagGeoPredictor:
         if prediction is None:
             return self._prior.copy()
         return prediction
+
+    def predict_matrix(self, catalogue: Iterable[Video]) -> np.ndarray:
+        """Read-only ``(videos × countries)`` stack of
+        :meth:`predict_shares` rows, built once per catalogue: the last
+        call's videos are kept and compared, so any other catalogue (even
+        one at a recycled address, or a list edited in place) gets its own.
+        """
+        videos = tuple(catalogue)
+        if videos != self._matrix_videos:
+            matrix = np.empty((len(videos), len(self.registry)))
+            for row, video in enumerate(videos):
+                matrix[row] = self.predict_shares(video)
+            matrix.flags.writeable = False
+            self._matrix_videos, self._matrix = videos, matrix
+        return self._matrix
 
     def is_cold_start(self, video: Video) -> bool:
         """True when none of the video's tags are in the learned table."""

@@ -42,7 +42,6 @@ from repro.serving.planner import ReactiveOnlyPlanner, ServingPlanner
 from repro.serving.replica import Replica
 from repro.synth.rng import spawn_rng
 from repro.world.countries import CountryRegistry
-from repro.world.geo import distance_matrix
 from repro.world.traffic import TrafficModel
 
 FAIL = "fail"
@@ -425,7 +424,6 @@ class EdgeCluster:
             registry=registry,
             retry=retry,
             breaker_factory=breaker_factory,
-            distances=distance_matrix(registry),
             reactive_admission=reactive_admission,
             hedge=hedge,
         )

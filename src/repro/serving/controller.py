@@ -54,8 +54,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.errors import (
     CircuitOpenError,
     ConfigError,
@@ -263,8 +261,6 @@ class Controller:
             :func:`default_probe_retry_policy`.
         breaker_factory: Builds one breaker per replica; default
             :func:`default_breaker_factory` (virtual-time clock).
-        distances: Precomputed ``registry``-ordered distance matrix;
-            computed on demand otherwise.
         reactive_admission: After a miss served remotely or from origin,
             insert the video into the requester's home replica (the
             copy rides back on the response).
@@ -279,7 +275,6 @@ class Controller:
         registry: CountryRegistry,
         retry: Optional[RetryPolicy] = None,
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
-        distances: Optional[np.ndarray] = None,
         reactive_admission: bool = True,
         hedge: Optional[HedgePolicy] = None,
     ):
@@ -317,9 +312,7 @@ class Controller:
         self._breakers: Dict[str, CircuitBreaker] = {
             replica_id: breaker_factory() for replica_id in self._replicas
         }
-        if distances is None:
-            distances = distance_matrix(registry)
-        self._distances = distances
+        self._distances = distance_matrix(registry)
         self._code_index = {
             code: i for i, code in enumerate(registry.codes())
         }

@@ -29,7 +29,7 @@ hash order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -125,6 +125,10 @@ class TagAwarePlanner(ServingPlanner):
     This trades locality against catalogue coverage explicitly instead
     of letting duplicates silently crowd out coverage.
 
+    The shares come from :meth:`TagGeoPredictor.predict_matrix`, built
+    once per catalogue, so a re-plan over the same videos is array
+    operations only.
+
     Args:
         predictor: Tag → geography predictor (Eq. (3) table).
         replicas_per_video: Candidate copies per video before capacity
@@ -152,52 +156,19 @@ class TagAwarePlanner(ServingPlanner):
         self.predictor = predictor
         self.replicas_per_video = replicas_per_video
         self.copy_discount = copy_discount
-        # Predictions are a pure function of (catalogue, fleet), so the
-        # scored candidate list is memoized across periodic re-warms.
-        self._cache_key = None
-        self._cache_candidates: List[Tuple[float, str, str]] = []
 
     def plan(self, catalogue, replicas, capacity):
-        fleet = self._check(replicas, capacity)
-        cache_key = (
-            id(catalogue),
-            len(catalogue),
-            tuple((replica.replica_id, replica.country) for replica in fleet),
-        )
-        if cache_key == self._cache_key:
-            candidates = self._cache_candidates
-        else:
-            candidates = self._score(catalogue, fleet)
-            self._cache_key = cache_key
-            self._cache_candidates = candidates
+        return self._plan(catalogue, self._check(replicas, capacity), capacity)
 
-        return self._fill(candidates, fleet, capacity)
-
-    @staticmethod
-    def _fill(
-        candidates: Sequence[Tuple[float, str, str]],
-        fleet: Sequence[Replica],
-        capacity: int,
-    ) -> Dict[str, List[str]]:
-        """Global greedy: best-scored candidates claim capacity first."""
-        plan: Dict[str, List[str]] = {
-            replica.replica_id: [] for replica in fleet
-        }
-        for score, video_id, replica_id in candidates:
-            target = plan[replica_id]
-            if len(target) < capacity:
-                target.append(video_id)
-        return plan
-
-    def _score(
+    def _plan(
         self,
         catalogue,
-        fleet,
+        fleet: Sequence[Replica],
+        capacity: int,
         weights: Optional[np.ndarray] = None,
-    ) -> List[Tuple[float, str, str]]:
+    ) -> Dict[str, List[str]]:
         registry = self.predictor.registry
-        codes = registry.codes()
-        code_index = {code: i for i, code in enumerate(codes)}
+        code_index = {code: i for i, code in enumerate(registry.codes())}
         for replica in fleet:
             if replica.country not in code_index:
                 raise ServingError(
@@ -205,36 +176,51 @@ class TagAwarePlanner(ServingPlanner):
                     f"{replica.country!r}"
                 )
 
-        # Country → nearest replica, as a (replicas × countries) 0/1
-        # aggregation matrix. Ties break on fleet order (stable argmin).
-        distances = distance_matrix(registry)
-        replica_columns = [code_index[replica.country] for replica in fleet]
-        to_replica = distances[:, replica_columns]  # (C, R)
-        nearest = np.argmin(to_replica, axis=1)  # (C,)
-        aggregate = np.zeros((len(fleet), len(codes)))
-        aggregate[nearest, np.arange(len(codes))] = 1.0
+        # Country → nearest replica; ties break on fleet order (argmin).
+        columns = [code_index[replica.country] for replica in fleet]
+        nearest = np.argmin(distance_matrix(registry)[:, columns], axis=1)
 
-        # Each video's k-th best replica (by predicted absorbed demand)
-        # becomes a candidate worth demand · discount^k. ``weights``
-        # (registry-ordered, per-country) tilts the predicted shares
-        # toward observed demand before aggregation.
-        candidates: List[Tuple[float, str, str]] = []
-        for video in catalogue:
-            shares = self.predictor.predict_shares(video)
-            if weights is not None:
-                shares = shares * weights
-            demand = aggregate @ shares * float(video.views)  # (R,)
-            order = np.argsort(-demand, kind="stable")[: self.replicas_per_video]
-            for copy, position in enumerate(order):
-                score = float(demand[int(position)]) * self.copy_discount**copy
-                if score <= 0.0:
-                    continue
-                candidates.append(
-                    (score, video.video_id, fleet[int(position)].replica_id)
-                )
+        # Demand per (video, replica): the catalogue's share matrix,
+        # tilted by ``weights`` (per country, registry order) toward
+        # observed demand, summed onto each country's nearest replica
+        # one column at a time (each row on its own, so equal rows tie
+        # exactly), times views.
+        videos = tuple(catalogue)
+        shares = self.predictor.predict_matrix(videos)
+        if weights is not None:
+            shares = shares * weights
+        demand = np.zeros((len(videos), len(fleet)))
+        for country, replica in enumerate(nearest):
+            demand[:, replica] += shares[:, country]
+        demand *= np.array([video.views for video in videos], float)[:, None]
 
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        return candidates
+        # Each video's k-th best replica becomes a candidate worth
+        # demand · discount^k; zero-demand candidates are dropped.
+        copies = min(self.replicas_per_video, len(fleet))
+        best = np.argsort(-demand, axis=1, kind="stable")[:, :copies]
+        discounts = [self.copy_discount**copy for copy in range(copies)]
+        scores = (np.take_along_axis(demand, best, axis=1) * discounts).ravel()
+        keep = scores > 0.0
+        video_of = np.repeat(np.arange(len(videos)), copies)[keep]
+        replica_of = best.ravel()[keep]
+
+        # The global greedy fill: candidates claim capacity best-first,
+        # ties on video id. A candidate's fate depends only on those
+        # before it at its own replica, so sorting with the replica
+        # first lists each replica's candidates in fill order, and the
+        # fill is a cut at ``capacity``.
+        ids = [video.video_id for video in videos]
+        rank = np.unique(np.array(ids, dtype=str), return_inverse=True)[1]
+        order = np.lexsort((rank[video_of], -scores[keep], replica_of))
+        bounds = np.searchsorted(replica_of[order], np.arange(len(fleet) + 1))
+        plan: Dict[str, List[str]] = {}
+        for index, replica in enumerate(fleet):
+            start = bounds[index]
+            stop = min(bounds[index + 1], start + capacity)
+            plan[replica.replica_id] = [
+                ids[video] for video in video_of[order[start:stop]]
+            ]
+        return plan
 
 
 class AdaptiveTagPlanner(TagAwarePlanner):
@@ -256,7 +242,7 @@ class AdaptiveTagPlanner(TagAwarePlanner):
       follows the crowd instead of remembering it forever.
 
     With no observations and a fully live fleet it degrades to exactly
-    the static plan (and reuses its memoized candidates).
+    the static plan.
 
     Args:
         demand_boost: Strength of the observed-demand tilt (0 disables).
@@ -335,11 +321,9 @@ class AdaptiveTagPlanner(TagAwarePlanner):
             fleet = alive  # plan only onto replicas that can take a push
         self.replans += 1
         total = float(self._observed.sum())
+        weights = None
         if total > 0.0 and self.demand_boost > 0.0:
             weights = 1.0 + self.demand_boost * (self._observed / total)
-            candidates = self._score(catalogue, fleet, weights=weights)
-            plan = self._fill(candidates, fleet, capacity)
-        else:
-            plan = super().plan(catalogue, fleet, capacity)
+        plan = self._plan(catalogue, fleet, capacity, weights)
         self._observed *= self.decay
         return plan

@@ -9,6 +9,7 @@ every registry country and haversine distances, which
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Optional, Tuple
 
@@ -75,10 +76,15 @@ def country_distance_km(code_a: str, code_b: str) -> float:
 
 
 def distance_matrix(registry: Optional[CountryRegistry] = None) -> np.ndarray:
-    """Symmetric km matrix on the registry's canonical axis."""
+    """Symmetric km matrix on the registry's canonical axis (computed once
+    per axis and shared, so read-only)."""
     if registry is None:
         registry = default_registry()
-    codes = registry.codes()
+    return _distance_matrix(tuple(registry.codes()))
+
+
+@functools.lru_cache(maxsize=None)
+def _distance_matrix(codes: Tuple[str, ...]) -> np.ndarray:
     missing = [code for code in codes if code not in COUNTRY_CENTROIDS]
     if missing:
         raise WorldError(f"no centroid for countries: {missing}")
@@ -89,4 +95,5 @@ def distance_matrix(registry: Optional[CountryRegistry] = None) -> np.ndarray:
             km = country_distance_km(codes[i], codes[j])
             matrix[i, j] = km
             matrix[j, i] = km
+    matrix.flags.writeable = False
     return matrix

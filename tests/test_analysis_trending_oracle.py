@@ -268,3 +268,25 @@ def test_net_corrections_deposit_nothing():
     _assert_agrees(detector, oracle)
     music = engine.tag_id("music")
     assert detector.tag_scores()[music] == pytest.approx(260.0, rel=RTOL)
+
+
+@given(
+    scores=st.lists(
+        st.one_of(
+            st.sampled_from((0.0, 0.0, 1.0, 2.5, 7.0, 5e-324)),
+            st.floats(min_value=0.0, max_value=1e6),
+        ),
+        max_size=40,
+    ),
+    count=st.one_of(
+        st.sampled_from((0, 1, 41)), st.integers(min_value=0, max_value=45)
+    ),
+)
+def test_rank_matches_full_stable_sort(scores, count):
+    """Partial selection ranks exactly as a full stable argsort: ties go
+    to the lower row, zeros never rank."""
+    scores = np.array(scores, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")[:count]
+    expected = order[scores[order] > 0.0]
+    got = TrendingDetector._rank(scores, count)
+    assert got.tolist() == expected.tolist()

@@ -125,21 +125,3 @@ class TestServingDistance:
                 registry=universe.registry,
                 origin="XX",
             )
-
-    def test_precomputed_matrix_matches(self, distance_setup):
-        from repro.world.geo import distance_matrix
-
-        universe, dataset, trace, predictor = distance_setup
-        policy = TagPredictivePlacement(predictor, replicas=4)
-        lazy = evaluate_serving_distance(
-            dataset, trace, policy, capacity=10, registry=universe.registry
-        )
-        eager = evaluate_serving_distance(
-            dataset,
-            trace,
-            policy,
-            capacity=10,
-            registry=universe.registry,
-            distances=distance_matrix(universe.registry),
-        )
-        assert lazy.mean_km == pytest.approx(eager.mean_km)

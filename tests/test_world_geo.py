@@ -72,3 +72,15 @@ class TestCountryDistances:
         i = registry.index_of("US")
         j = registry.index_of("SG")
         assert matrix[i][j] == pytest.approx(country_distance_km("US", "SG"))
+
+    def test_matrix_computed_once_and_read_only(self, registry):
+        matrix = distance_matrix(registry)
+        assert distance_matrix(registry) is matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 0.0
+        codes = registry.codes()
+        expected = np.array(
+            [[country_distance_km(a, b) for b in codes] for a in codes]
+        )
+        assert np.array_equal(matrix, expected)
