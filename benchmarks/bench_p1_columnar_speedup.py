@@ -1,7 +1,9 @@
 """P1 — perf regression gate: columnar engine vs the scalar oracle.
 
 Times the Eq. (1)–(3) path — per-video reconstruction plus the
-``views(t)`` aggregation — through both engines on the same filtered
+``views(t)`` aggregation — through the columnar engine and the per-video
+scalar oracle (``tests/oracles.py``, so run this file with
+``python -m pytest`` from the repository root) on the same filtered
 dataset, asserts the columnar output matches the scalar reference within
 1e-9, and enforces a minimum speedup. Results are written as
 machine-readable JSON to ``BENCH_p1.json`` at the repository root so CI
@@ -9,8 +11,8 @@ can archive the numbers and fail on regression.
 
 What is gated: the **compute** path — ``TagViewsTable.from_columnar``
 over a prebuilt :class:`ColumnarDataset`, i.e. the vectorized Eq. (1)–(3)
-kernels the pipeline runs on every resume from the persisted
-``columnar.npz`` artifact — against the scalar per-video loop. The
+kernels the pipeline runs on every resume from its persisted columnar
+store — against the scalar per-video loop. The
 one-time columnar materialization (``build_columnar``) is timed and
 reported (``build_seconds``, ``cold_speedup``) but not gated: it is
 bounded by Python-object traversal the scalar path pays on *every* run,
@@ -62,6 +64,7 @@ from repro.engine import build_columnar
 from repro.pipeline import PipelineConfig, run_pipeline
 from repro.reconstruct.tagviews import TagViewsTable
 from repro.synth.presets import preset_config
+from tests.oracles import scalar_tag_table
 
 REPO_ROOT = Path(__file__).parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_p1.json"
@@ -132,11 +135,11 @@ def test_p1_columnar_speedup(p1_pipeline, report_writer, rss_probe, bench_meta):
 
     # Warm both paths once (imports, allocator) before timing.
     small_warmup = list(dataset)[:50]
-    TagViewsTable(small_warmup, reconstructor, engine="scalar")
+    scalar_tag_table(small_warmup, reconstructor)
     TagViewsTable(small_warmup, reconstructor, engine="columnar")
 
     scalar_table, scalar_s = _best_of(
-        lambda: TagViewsTable(dataset, reconstructor, engine="scalar"),
+        lambda: scalar_tag_table(dataset, reconstructor),
         repeats=4,
     )
     columnar, build_s = _best_of(

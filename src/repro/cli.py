@@ -27,9 +27,9 @@ are re-read by the analysis subcommands with the library's default
 traffic model. ``genworld`` saves a universe *with ground truth* so
 ``validate`` (and crawls of the same world) can run in later processes.
 ``tag``/``toptags``/``classify``/``country`` accept
-``--engine {auto,columnar,chunked,scalar}`` to pick the Eq. (1)-(3)
-execution engine (columnar vectorized fast path, bounded-memory chunked
-streaming, or the scalar reference loop), plus ``--chunk-rows N`` and
+``--engine {auto,columnar,chunked}`` to pick the Eq. (1)-(3) execution
+engine (columnar vectorized fast path or bounded-memory chunked
+streaming, with identical float64 output), plus ``--chunk-rows N`` and
 ``--dtype {float64,float32}`` to tune the chunked path.
 """
 
@@ -48,8 +48,8 @@ from repro.pipeline import (
     run_pipeline,
     run_temporal_ingest,
 )
-from repro.reconstruct.tagviews import TagViewsTable
-from repro.reconstruct.views import ENGINES, ViewReconstructor
+from repro.reconstruct.tagviews import ENGINES, TagViewsTable
+from repro.reconstruct.views import ViewReconstructor
 from repro.synth.presets import PRESETS, preset_config
 from repro.synth.temporal import TEMPORAL_PRESETS
 from repro.viz.report import (
@@ -67,9 +67,8 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         default="auto",
         choices=ENGINES,
         help="Eq. (1)-(3) execution engine: the vectorized columnar fast "
-        "path (auto/columnar), the bounded-memory streaming path "
-        "(chunked; identical float64 output), or the per-video scalar "
-        "reference",
+        "path (auto/columnar) or the bounded-memory streaming path "
+        "(chunked; identical float64 output)",
     )
     parser.add_argument(
         "--chunk-rows",

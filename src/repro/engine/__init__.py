@@ -1,21 +1,22 @@
 """Columnar compute engine: Eq. (1)–(3) as bulk linear algebra.
 
-The scalar estimators in :mod:`repro.reconstruct` process one video at a
-time; this package materializes a dataset once into matrices
-(:mod:`~repro.engine.columnar`), runs all three estimators and the
+The per-video estimators in :mod:`repro.reconstruct` process one video
+at a time; this package materializes a dataset once into matrices
+(:mod:`~repro.engine.columnar`) and runs all three estimators and the
 Eq. (3) tag aggregation as vectorized numpy kernels
-(:mod:`~repro.engine.compute`), and persists the columnar form as a
-checksummed ``.npz`` artifact (:mod:`~repro.engine.npz`) so resumable
-pipelines skip re-materialization. The scalar path remains the reference
-oracle; benchmark P1 tracks the speedup and the property tests pin the
-two paths together within 1e-9.
+(:mod:`~repro.engine.compute`). The columnar form persists as a
+raw-array store of checksummed, memory-mappable files
+(:mod:`~repro.engine.store`), so resumable pipelines skip
+re-materialization. The per-video reference oracle lives with the tests
+(``tests/oracles.py``); benchmark P1 tracks the speedup over it and the
+property tests pin the engine to it within 1e-9.
 
-Beyond a few hundred thousand videos the engine goes out-of-core: a
-raw-array memmap store (:mod:`~repro.engine.store`), chunk-streaming
-builds and reductions (:mod:`~repro.engine.outofcore`), and chunked
-kernels (``chunk_rows`` / ``dtype`` options in
-:mod:`~repro.engine.compute`) keep peak memory proportional to a chunk
-while staying bit-identical to the dense float64 path.
+Beyond a few hundred thousand videos the engine goes out-of-core: the
+same store opened as memory maps, chunk-streaming builds and reductions
+(:mod:`~repro.engine.outofcore`), and chunked kernels (``chunk_rows`` /
+``dtype`` options in :mod:`~repro.engine.compute`) keep peak memory
+proportional to a chunk while staying bit-identical to the dense
+float64 path.
 
 For *changing* corpora, :mod:`~repro.engine.incremental` keeps the
 same surfaces live under timestamped view-delta batches — O(touched)
@@ -39,7 +40,6 @@ from repro.engine.compute import (
     tag_segment_sums,
     tag_segment_sums_streaming,
 )
-from repro.engine.npz import load_columnar, save_columnar
 from repro.engine.outofcore import (
     VideoChunk,
     build_store_streaming,
@@ -56,8 +56,6 @@ __all__ = [
     "reconstruct_stream",
     "tag_segment_sums",
     "tag_segment_sums_streaming",
-    "save_columnar",
-    "load_columnar",
     "save_store",
     "open_store",
     "VideoChunk",

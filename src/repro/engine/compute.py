@@ -1,18 +1,19 @@
 """Vectorized Eq. (1)–(3) kernels and row-wise distribution metrics.
 
-Every function here is the whole-dataset counterpart of a scalar routine
-elsewhere in the library, kept numerically aligned with its oracle:
+Every function here is the whole-dataset counterpart of a per-video
+routine, kept numerically aligned with it:
 
 - :func:`reconstruct_all` ↔ :func:`repro.reconstruct.views.reconstruct_views`
   (and its naive/smoothed variants), one matrix expression instead of a
   per-video loop;
-- :func:`tag_segment_sums` ↔ the ``bucket += estimated`` accumulation in
-  :class:`repro.reconstruct.tagviews.TagViewsTable`, as CSR segment sums;
+- :func:`tag_segment_sums` ↔ the per-video ``views(t) += estimated``
+  accumulation of Eq. (3), as CSR segment sums;
 - the ``*_rows`` metrics ↔ :mod:`repro.analysis.metrics`, one value per
   matrix row.
 
-The scalar implementations stay the reference oracle; the equivalence
-property tests pin these kernels to them within 1e-9.
+The per-video loops are the reference oracle (the Eq. (1)–(3) table
+loops live in ``tests/oracles.py``); the equivalence property tests pin
+these kernels to them within 1e-9.
 
 Out-of-core extension
 ---------------------
@@ -183,7 +184,6 @@ def reconstruct_all(
     smoothing: float = 0.0,
     chunk_rows: Optional[int] = None,
     dtype: DTypeLike = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Eq. (1)–(2) for every video at once.
 
@@ -193,14 +193,12 @@ def reconstruct_all(
         prior: ``(C,)`` traffic shares ``p̂_yt`` (ignored in naive mode).
         naive: Use the share-readout strawman (intensities as shares).
         smoothing: Additive intensity smoothing λ (ignored in naive
-            mode, exactly as the scalar estimator does).
+            mode, exactly as the per-video estimator does).
         chunk_rows: Process this many rows per slice. ``None`` computes
             in one shot; any value yields bit-identical float64 output
             because rows never interact.
         dtype: ``"float64"`` (default) or ``"float32"`` compute/storage
             precision.
-        out: Optional preallocated ``(V, C)`` array (e.g. a writable
-            memmap) the result is written into.
 
     Returns:
         ``(V, C)`` matrix in ``dtype``; row ``v`` sums to ``views[v]``.
@@ -214,19 +212,13 @@ def reconstruct_all(
     pop = pop if isinstance(pop, np.memmap) else np.asarray(pop)
     views = np.asarray(views)
     _check_reconstruct_args(pop, views, prior, naive, smoothing)
-    if out is None:
-        if chunk_rows is None:
-            # Single-slice fast path: same reconstruct_rows call, minus
-            # the extra (V, C) allocation + copy through ``out``.
-            return reconstruct_rows(
-                pop, views, prior, naive=naive, smoothing=smoothing,
-                dtype=dtype,
-            )
-        out = np.empty(pop.shape, dtype=dtype)
-    elif out.shape != pop.shape:
-        raise ReconstructionError(
-            f"out shape {out.shape} does not match pop shape {pop.shape}"
+    if chunk_rows is None:
+        # Single-slice fast path: same reconstruct_rows call, minus the
+        # extra (V, C) allocation + copy through ``out``.
+        return reconstruct_rows(
+            pop, views, prior, naive=naive, smoothing=smoothing, dtype=dtype,
         )
+    out = np.empty(pop.shape, dtype=dtype)
     for start, stop in iter_row_chunks(pop.shape[0], chunk_rows):
         out[start:stop] = reconstruct_rows(
             pop[start:stop],

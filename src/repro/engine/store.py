@@ -1,11 +1,10 @@
-"""Raw-array columnar store: memmap-backed persistence for huge datasets.
+"""Raw-array columnar store: the on-disk form of a columnar dataset.
 
-The ``.npz`` persistence in :mod:`repro.engine.npz` is ideal up to a few
-hundred thousand videos, but a zip archive has two costs at the million
-scale: a compressed member cannot be memory-mapped at all, and even an
-uncompressed one must be located through the zip directory. This module
-stores a :class:`~repro.engine.columnar.ColumnarDataset` as a
-*directory* of flat little-endian arrays instead::
+The store keeps a :class:`~repro.engine.columnar.ColumnarDataset` as a
+*directory* of flat little-endian arrays, so any of them can be
+memory-mapped in place at any scale. It is the one persisted columnar
+format: :func:`repro.pipeline.run_pipeline` keeps its reconstruct stage
+here, and the out-of-core build streams straight into it::
 
     store/
       meta.json          # format, registry axis, dtypes, shapes (+ .sha256)
@@ -55,6 +54,9 @@ META_NAME = "meta.json"
 
 #: Array files a store holds, in write order.
 ARRAY_NAMES = ("pop", "views", "video_ids", "tags", "indptr", "indices")
+
+#: Every file of a store, relative to its directory (sidecars aside).
+STORE_FILES = (META_NAME,) + tuple(f"{name}.bin" for name in ARRAY_NAMES)
 
 #: Allowed on-disk dtypes for the intensity matrix.
 POP_DTYPES = ("uint8", "float32", "float64")
@@ -262,6 +264,10 @@ def open_store(
 ) -> ColumnarDataset:
     """Open a store as a :class:`ColumnarDataset` of ``numpy.memmap`` views.
 
+    The tag vocabulary comes back as a tuple of ``str``, as
+    :func:`~repro.engine.columnar.build_columnar` builds it; every other
+    array stays a numpy array.
+
     Args:
         path: The store directory.
         registry: When given, the stored axis must match its codes.
@@ -311,7 +317,9 @@ def open_store(
         video_ids=arrays["video_ids"],
         pop=arrays["pop"],
         views=arrays["views"],
-        tags=arrays["tags"],
+        # Plain ``str`` labels, as an in-memory build has: every consumer
+        # of the vocabulary reads it whole anyway.
+        tags=tuple(arrays["tags"].tolist()),
         indptr=arrays["indptr"],
         indices=arrays["indices"],
         codes=tuple(str(c) for c in meta["codes"]),

@@ -4,11 +4,15 @@ One call reproduces the paper's whole data path on a synthetic universe.
 Benchmarks and examples build on this instead of re-wiring the
 subsystems by hand.
 
-Two execution modes:
+:func:`run_pipeline` runs the four :data:`PIPELINE_STAGES` through one
+stage loop. Each stage is written once, as compute / save / load, and
+the loop keeps what it produces in a sink:
 
-- **in-memory** (``workdir=None``): everything lives in the process, as
-  before;
-- **resumable** (``workdir=<dir>``): every stage writes an
+- **no workdir** (``workdir=None``): the null sink. No stage is ever
+  intact and nothing is written — not even a crawl journal, unless the
+  crawl is distributed (its supervisor then works in a temporary
+  directory);
+- **a workdir** (``workdir=<dir>``): every stage writes an
   integrity-checksummed artifact and records completion in a stage
   manifest, and the crawl stage journals its progress through a
   :class:`~repro.durability.journal.CheckpointJournal`. Re-running with
@@ -21,11 +25,13 @@ Two execution modes:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar, Union
 
 from repro.api.faults import FaultInjector
 from repro.api.quota import QuotaBudget, UNLIMITED
@@ -37,25 +43,33 @@ from repro.datamodel.io import read_videos_jsonl, write_videos_jsonl
 from repro.durability import artifacts
 from repro.durability.fsfaults import Filesystem
 from repro.durability.journal import CheckpointJournal
+from repro.engine.columnar import ColumnarDataset, build_columnar
+from repro.engine.store import META_NAME, STORE_FILES, open_store, save_store
 from repro.errors import ConfigError, DatasetIOError, ReproError
 from repro.reconstruct.tagviews import TagViewsTable
 from repro.reconstruct.views import ViewReconstructor
 from repro.synth.io import load_universe, save_universe
 from repro.synth.presets import preset_config
 from repro.synth.universe import Universe, UniverseConfig, build_universe
-from repro.world.countries import SEED_COUNTRIES
+from repro.world.countries import SEED_COUNTRIES, CountryRegistry
 
 PathLike = Union[str, Path]
+T = TypeVar("T")
 
 #: Stage names in execution order.
 PIPELINE_STAGES = ("universe", "crawl", "filter", "reconstruct")
 
-#: The artifacts each stage owns inside a workdir.
+#: Workdir subdirectory holding the reconstruct stage's columnar store
+#: (:mod:`repro.engine.store`).
+STORE_DIR = "columnar"
+
+#: The artifacts each stage owns inside a workdir, file by file.
 STAGE_ARTIFACTS: Dict[str, Tuple[str, ...]] = {
     "universe": ("universe.json.gz",),
     "crawl": ("crawl.jsonl", "crawl_stats.json"),
     "filter": ("dataset.jsonl", "filter_report.json"),
-    "reconstruct": ("tag_views.json", "columnar.npz"),
+    "reconstruct": ("tag_views.json",)
+    + tuple(f"{STORE_DIR}/{name}" for name in STORE_FILES),
 }
 
 MANIFEST_NAME = "manifest.json"
@@ -63,10 +77,10 @@ _MANIFEST_FORMAT = "repro-pipeline-manifest"
 _MANIFEST_VERSION = 1
 
 #: Filtered-dataset size from which the reconstruct stage goes
-#: out-of-core on its own: the columnar artifact is written uncompressed
-#: (memmappable), resumed runs load it with ``mmap_mode="r"``, and
-#: Eq. (3) aggregates through the streaming kernels. Output is
-#: bit-identical to the dense float64 path either way.
+#: out-of-core on its own: Eq. (3) aggregates through the streaming
+#: kernels, and a resumed run memory-maps the stored arrays instead of
+#: reading them into RAM. Output is bit-identical to the dense float64
+#: path either way.
 OUT_OF_CORE_VIDEOS = 200_000
 
 
@@ -88,16 +102,6 @@ class PipelineConfig:
             single-process journaling crawler; ``>1`` serves the
             simulated API over TCP and shards the frontier across a
             :class:`~repro.crawler.distributed.DistributedCrawlSupervisor`.
-        engine: Eq. (1)–(3) execution engine for the reconstruct stage
-            (see :data:`repro.reconstruct.views.ENGINES`). ``"chunked"``
-            forces the streaming aggregation + uncompressed/memmapped
-            columnar artifact; ``"auto"`` picks it automatically above
-            :data:`OUT_OF_CORE_VIDEOS` videos. Results are identical.
-        chunk_rows: Row-chunk size for the chunked engine (``None`` =
-            library default).
-        columnar_dtype: Compute precision for the engine paths —
-            ``"float64"`` (default, exact) or ``"float32"`` (documented
-            ≤1e-4 relative error, half the memory).
     """
 
     universe: UniverseConfig = field(
@@ -110,9 +114,6 @@ class PipelineConfig:
     seed_countries: tuple = SEED_COUNTRIES
     checkpoint_every: int = 50
     workers: int = 1
-    engine: str = "auto"
-    chunk_rows: Optional[int] = None
-    columnar_dtype: str = "float64"
 
 
 @dataclass
@@ -184,30 +185,62 @@ def config_fingerprint(config: PipelineConfig) -> str:
         # Only stamped when distributed, so single-process workdirs
         # created before the knob existed keep their fingerprint.
         payload["workers"] = config.workers
-    # Engine knobs are likewise only stamped off their defaults: the
-    # engines produce identical float64 output, so a default-config
-    # workdir stays resumable across engine choices — but a float32 run
-    # is numerically distinct and must not mix with float64 artifacts.
-    if config.engine != "auto":
-        payload["engine"] = config.engine
-    if config.chunk_rows is not None:
-        payload["chunk_rows"] = config.chunk_rows
-    if config.columnar_dtype != "float64":
-        payload["columnar_dtype"] = config.columnar_dtype
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
-class _Workdir:
+class _NullSink:
+    """Where a run without a workdir keeps its stages: nowhere.
+
+    No stage is ever intact and committing a stage writes nothing.
+    :meth:`run_stage` is the stage loop both sinks share.
+    """
+
+    root: Optional[Path] = None
+    fs: Optional[Filesystem] = None
+
+    def __init__(self) -> None:
+        self.skipped: List[str] = []
+        self.quarantined: List[Path] = []
+
+    def stage_intact(self, stage: str) -> bool:
+        return False
+
+    def commit(self, stage: str, save: Callable[[T], None], value: T) -> None:
+        """Persist a computed stage's value (a null sink keeps nothing)."""
+
+    def run_stage(
+        self,
+        stage: str,
+        compute: Callable[[], T],
+        save: Callable[[T], None],
+        load: Callable[[], Optional[T]],
+    ) -> T:
+        """One stage: load it from intact artifacts, or compute + commit.
+
+        ``load`` returns ``None`` for artifacts that verify but do not
+        load; the stage is then recomputed.
+        """
+        if self.stage_intact(stage):
+            value = load()
+            if value is not None:
+                self.skipped.append(stage)
+                return value
+        value = compute()
+        self.commit(stage, save, value)
+        return value
+
+
+class _Workdir(_NullSink):
     """Stage manifest + artifact bookkeeping for a resumable run."""
 
     def __init__(
         self, root: PathLike, fingerprint: str, fs: Optional[Filesystem]
     ):
+        super().__init__()
         self.root = Path(root)
         self.fingerprint = fingerprint
         self.fs = fs
-        self.quarantined: List[Path] = []
         self.root.mkdir(parents=True, exist_ok=True)
         self.stages: Dict[str, bool] = {name: False for name in PIPELINE_STAGES}
         self._load_manifest()
@@ -261,7 +294,9 @@ class _Workdir:
             checksum=True,
         )
 
-    def mark_done(self, stage: str) -> None:
+    def commit(self, stage: str, save: Callable[[T], None], value: T) -> None:
+        """Write the stage's artifacts, then record it done."""
+        save(value)
         self.stages[stage] = True
         self.save_manifest()
 
@@ -283,6 +318,27 @@ class _Workdir:
                 if bad != self.path(name):
                     self.quarantined.append(bad)
         return intact
+
+    def write_json(
+        self, name: str, data: dict, indent: Optional[int] = 2
+    ) -> None:
+        artifacts.atomic_write_text(
+            self.path(name),
+            json.dumps(data, indent=indent, sort_keys=True),
+            fs=self.fs,
+            checksum=True,
+        )
+
+    def read_json(self, name: str) -> dict:
+        return json.loads(self.path(name).read_text(encoding="utf-8"))
+
+    def write_videos(self, name: str, videos: Dataset) -> None:
+        path = self.path(name)
+        write_videos_jsonl(iter(videos), path)
+        artifacts.persist_file(path, fs=self.fs)
+
+    def read_videos(self, name: str, registry: CountryRegistry) -> Dataset:
+        return Dataset(read_videos_jsonl(self.path(name), registry), registry)
 
 
 def run_pipeline(
@@ -307,299 +363,192 @@ def run_pipeline(
     """
     if config is None:
         config = PipelineConfig()
-    if workdir is None:
-        return _run_in_memory(config)
-    return _run_resumable(config, _Workdir(workdir, config_fingerprint(config), fs))
+    sink = (
+        _NullSink()
+        if workdir is None
+        else _Workdir(workdir, config_fingerprint(config), fs)
+    )
 
-
-def _build_service(config: PipelineConfig, universe: Universe) -> YoutubeService:
-    return YoutubeService(
+    universe = sink.run_stage(
+        "universe",
+        compute=lambda: build_universe(config.universe),
+        save=lambda value: _save_universe(sink, value),
+        load=lambda: load_universe(sink.path("universe.json.gz")),
+    )
+    registry = universe.registry
+    service = YoutubeService(
         universe,
         quota=QuotaBudget(config.quota_limit),
-        faults=FaultInjector(rate=config.fault_rate, seed=config.universe.seed),
+        faults=FaultInjector(
+            rate=config.fault_rate, seed=config.universe.seed
+        ),
+    )
+
+    crawl = sink.run_stage(
+        "crawl",
+        compute=lambda: _crawl(config, service, len(universe), sink),
+        save=lambda value: _save_crawl(sink, value),
+        load=lambda: CrawlResult(
+            sink.read_videos("crawl.jsonl", registry),
+            CrawlStats.from_dict(sink.read_json("crawl_stats.json")),
+        ),
+    )
+
+    dataset, filter_report = sink.run_stage(
+        "filter",
+        compute=crawl.dataset.apply_paper_filter,
+        save=lambda value: _save_filter(sink, *value),
+        load=lambda: (
+            sink.read_videos("dataset.jsonl", registry),
+            FilterReport(**sink.read_json("filter_report.json")),
+        ),
+    )
+
+    # The estimator is always rebuilt: it is a view over the traffic
+    # model, not stored state. The stage's value is the columnar form
+    # and its Eq. (3) table; an intact store lets a resumed run skip
+    # re-vectorizing the dataset entirely.
+    reconstructor = ViewReconstructor(universe.traffic)
+    out_of_core = len(dataset) >= OUT_OF_CORE_VIDEOS
+
+    def tabulate(columnar: ColumnarDataset):
+        return columnar, TagViewsTable.from_columnar(
+            columnar, reconstructor, streaming=out_of_core
+        )
+
+    def load_reconstruct():
+        store = sink.path(STORE_DIR)
+        try:
+            # stage_intact has already checked every sidecar.
+            columnar = open_store(
+                store, registry, fs=sink.fs, verify=False, mmap=out_of_core
+            )
+        except ReproError:
+            # Checksum-valid but unloadable (e.g. another store format):
+            # quarantine its metadata and recompute the stage.
+            meta = artifacts.quarantine(store / META_NAME, fs=sink.fs)
+            sink.quarantined.append(meta)
+            return None
+        return tabulate(columnar)
+
+    _, tag_table = sink.run_stage(
+        "reconstruct",
+        compute=lambda: tabulate(build_columnar(dataset, registry)),
+        save=lambda value: _save_reconstruct(sink, *value),
+        load=load_reconstruct,
+    )
+
+    return PipelineResult(
+        universe=universe,
+        service=service,
+        crawl=crawl,
+        dataset=dataset,
+        filter_report=filter_report,
+        reconstructor=reconstructor,
+        tag_table=tag_table,
+        stages_skipped=tuple(sink.skipped),
+        quarantined=tuple(str(p) for p in sink.quarantined),
     )
 
 
-def _crawl_budget(config: PipelineConfig, universe: Universe) -> int:
-    return (
+def _save_universe(wd: _Workdir, universe: Universe) -> None:
+    path = wd.path("universe.json.gz")
+    save_universe(universe, path)
+    artifacts.persist_file(path, fs=wd.fs)
+
+
+def _crawl(
+    config: PipelineConfig,
+    service: YoutubeService,
+    universe_size: int,
+    sink: _NullSink,
+) -> CrawlResult:
+    """The crawl stage's compute: journaled inside a workdir, plain
+    without one, and supervised across processes for ``workers > 1``."""
+    max_videos = (
         config.crawl_budget
         if config.crawl_budget is not None
-        else len(universe)
+        else universe_size
     )
+    if config.workers > 1:
+        return _run_distributed_crawl(config, service, max_videos, sink)
+    crawl_kwargs = dict(
+        seed_countries=config.seed_countries,
+        seeds_per_country=config.seeds_per_country,
+        max_videos=max_videos,
+    )
+    if sink.root is None:
+        return SnowballCrawler(service, **crawl_kwargs).run()
+    journal = CheckpointJournal(sink.root / "journal", fs=sink.fs)
+    try:
+        crawler = SnowballCrawler.resume_from_journal(
+            service,
+            journal,
+            checkpoint_every=config.checkpoint_every,
+            **crawl_kwargs,
+        )
+        return crawler.run()
+    finally:
+        sink.quarantined.extend(journal.quarantined)
+        journal.close()
 
 
 def _run_distributed_crawl(
     config: PipelineConfig,
     service: YoutubeService,
-    universe: Universe,
-    store_path: PathLike,
-    journal_root: PathLike,
-) -> Tuple[CrawlResult, List[Path]]:
+    max_videos: int,
+    sink: _NullSink,
+) -> CrawlResult:
     """Crawl stage for ``workers > 1``: serve the API over TCP and
-    shard the frontier across supervised worker processes. Returns the
-    crawl result plus any journal files quarantined during resume."""
+    shard the frontier across supervised worker processes. The
+    supervisor's store and journals live in the workdir, or in a
+    temporary directory for a run without one."""
     from repro.api.transport import YoutubeAPIServer
     from repro.crawler.distributed import DistributedCrawlSupervisor
 
-    with YoutubeAPIServer(service) as server:
+    crawl_dir = (
+        tempfile.TemporaryDirectory(prefix="repro-crawl-")
+        if sink.root is None
+        else contextlib.nullcontext(sink.root)
+    )
+    with crawl_dir as root, YoutubeAPIServer(service) as server:
         supervisor = DistributedCrawlSupervisor(
             server.host,
             server.port,
-            store_path=str(store_path),
-            workdir=str(journal_root),
+            store_path=str(Path(root) / "crawl.db"),
+            workdir=str(Path(root) / "journal"),
             workers=config.workers,
             seed_countries=config.seed_countries,
             seeds_per_country=config.seeds_per_country,
-            max_videos=_crawl_budget(config, universe),
+            max_videos=max_videos,
             quota_limit=config.quota_limit,
             checkpoint_every=max(1, min(config.checkpoint_every, 25)),
         )
         with supervisor:
             crawl = supervisor.run()
-            return crawl, list(supervisor.journal.quarantined)
+            sink.quarantined.extend(supervisor.journal.quarantined)
+            return crawl
 
 
-def _resolve_pipeline_engine(config: PipelineConfig, n_videos: int) -> str:
-    """The reconstruct-stage engine after ``auto`` resolution.
-
-    ``auto`` goes chunked above :data:`OUT_OF_CORE_VIDEOS` videos so big
-    corpora never materialize the ``(V, C)`` estimate matrix; all engine
-    choices produce identical float64 tables.
-    """
-    from repro.reconstruct.views import ENGINES
-
-    if config.engine not in ENGINES:
-        raise ConfigError(
-            f"unknown engine {config.engine!r}; choose from {ENGINES}"
-        )
-    if config.engine == "auto":
-        return "chunked" if n_videos >= OUT_OF_CORE_VIDEOS else "columnar"
-    return config.engine
+def _save_crawl(wd: _Workdir, crawl: CrawlResult) -> None:
+    wd.write_videos("crawl.jsonl", crawl.dataset)
+    wd.write_json("crawl_stats.json", crawl.stats.to_dict())
 
 
-def _pipeline_dtype(config: PipelineConfig):
-    if config.columnar_dtype not in ("float64", "float32"):
-        raise ConfigError(
-            "columnar_dtype must be 'float64' or 'float32', got "
-            f"{config.columnar_dtype!r}"
-        )
-    return None if config.columnar_dtype == "float64" else config.columnar_dtype
+def _save_filter(wd: _Workdir, dataset: Dataset, report: FilterReport) -> None:
+    wd.write_videos("dataset.jsonl", dataset)
+    wd.write_json("filter_report.json", asdict(report))
 
 
-def _run_in_memory(config: PipelineConfig) -> PipelineResult:
-    universe = build_universe(config.universe)
-    service = _build_service(config, universe)
-    if config.workers > 1:
-        import tempfile
-
-        with tempfile.TemporaryDirectory(prefix="repro-crawl-") as tmp:
-            crawl, _ = _run_distributed_crawl(
-                config,
-                service,
-                universe,
-                Path(tmp) / "crawl.db",
-                Path(tmp) / "journals",
-            )
-    else:
-        crawler = SnowballCrawler(
-            service,
-            seed_countries=config.seed_countries,
-            seeds_per_country=config.seeds_per_country,
-            max_videos=_crawl_budget(config, universe),
-        )
-        crawl = crawler.run()
-    dataset, filter_report = crawl.dataset.apply_paper_filter()
-    reconstructor = ViewReconstructor(universe.traffic)
-    tag_table = TagViewsTable(
-        dataset,
-        reconstructor,
-        engine=_resolve_pipeline_engine(config, len(dataset)),
-        dtype=_pipeline_dtype(config),
-        block_entries=config.chunk_rows,
-    )
-    return PipelineResult(
-        universe=universe,
-        service=service,
-        crawl=crawl,
-        dataset=dataset,
-        filter_report=filter_report,
-        reconstructor=reconstructor,
-        tag_table=tag_table,
-    )
-
-
-def _run_resumable(config: PipelineConfig, wd: _Workdir) -> PipelineResult:
-    skipped: List[str] = []
-
-    # Stage 1: universe -------------------------------------------------------
-    universe_path = wd.path("universe.json.gz")
-    if wd.stage_intact("universe"):
-        universe = load_universe(universe_path)
-        skipped.append("universe")
-    else:
-        universe = build_universe(config.universe)
-        save_universe(universe, universe_path)
-        artifacts.persist_file(universe_path, fs=wd.fs)
-        wd.mark_done("universe")
-    registry = universe.registry
-
-    service = _build_service(config, universe)
-
-    # Stage 2: crawl ---------------------------------------------------------
-    crawl_path = wd.path("crawl.jsonl")
-    stats_path = wd.path("crawl_stats.json")
-    if wd.stage_intact("crawl"):
-        videos = list(read_videos_jsonl(crawl_path, registry))
-        stats = CrawlStats.from_dict(
-            json.loads(stats_path.read_text(encoding="utf-8"))
-        )
-        crawl = CrawlResult(Dataset(videos, registry), stats)
-        skipped.append("crawl")
-    else:
-        if config.workers > 1:
-            crawl, quarantined = _run_distributed_crawl(
-                config,
-                service,
-                universe,
-                wd.path("crawl.db"),
-                wd.path("journal"),
-            )
-            wd.quarantined.extend(quarantined)
-        else:
-            journal = CheckpointJournal(wd.path("journal"), fs=wd.fs)
-            try:
-                crawler = SnowballCrawler.resume_from_journal(
-                    service,
-                    journal,
-                    seed_countries=config.seed_countries,
-                    seeds_per_country=config.seeds_per_country,
-                    max_videos=_crawl_budget(config, universe),
-                    checkpoint_every=config.checkpoint_every,
-                )
-                crawl = crawler.run()
-            finally:
-                wd.quarantined.extend(journal.quarantined)
-                journal.close()
-        write_videos_jsonl(iter(crawl.dataset), crawl_path)
-        artifacts.persist_file(crawl_path, fs=wd.fs)
-        artifacts.atomic_write_text(
-            stats_path,
-            json.dumps(crawl.stats.to_dict(), indent=2, sort_keys=True),
-            fs=wd.fs,
-            checksum=True,
-        )
-        wd.mark_done("crawl")
-
-    # Stage 3: filter --------------------------------------------------------
-    dataset_path = wd.path("dataset.jsonl")
-    report_path = wd.path("filter_report.json")
-    if wd.stage_intact("filter"):
-        dataset = Dataset(read_videos_jsonl(dataset_path, registry), registry)
-        report_data = json.loads(report_path.read_text(encoding="utf-8"))
-        filter_report = FilterReport(
-            input_videos=int(report_data["input_videos"]),
-            removed_no_tags=int(report_data["removed_no_tags"]),
-            removed_bad_popularity=int(report_data["removed_bad_popularity"]),
-            retained=int(report_data["retained"]),
-        )
-        skipped.append("filter")
-    else:
-        dataset, filter_report = crawl.dataset.apply_paper_filter()
-        write_videos_jsonl(iter(dataset), dataset_path)
-        artifacts.persist_file(dataset_path, fs=wd.fs)
-        artifacts.atomic_write_text(
-            report_path,
-            json.dumps(
-                {
-                    "input_videos": filter_report.input_videos,
-                    "removed_no_tags": filter_report.removed_no_tags,
-                    "removed_bad_popularity": filter_report.removed_bad_popularity,
-                    "retained": filter_report.retained,
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-            fs=wd.fs,
-            checksum=True,
-        )
-        wd.mark_done("filter")
-
-    # Stage 4: reconstruct ---------------------------------------------------
-    # The estimator is always rebuilt (it is a view over the traffic
-    # model, not stored state); the artifacts are the views(t) summary
-    # and the columnar matrices — an intact ``columnar.npz`` lets a
-    # resumed run skip re-vectorizing the dataset entirely.
-    from repro.engine import build_columnar, load_columnar, save_columnar
-
-    reconstructor = ViewReconstructor(universe.traffic)
-    engine = _resolve_pipeline_engine(config, len(dataset))
-    dtype = _pipeline_dtype(config)
-    out_of_core = engine == "chunked"
-    tagviews_path = wd.path("tag_views.json")
-    columnar_path = wd.path("columnar.npz")
-    columnar = None
-    if wd.stage_intact("reconstruct"):
-        try:
-            # stage_intact already checksummed the file; skip re-hashing.
-            # Out-of-core resume memory-maps the stored members instead
-            # of pulling the matrices through RAM.
-            columnar = load_columnar(
-                columnar_path,
-                registry=registry,
-                fs=wd.fs,
-                verify=False,
-                mmap_mode="r" if out_of_core else None,
-            )
-            skipped.append("reconstruct")
-        except ReproError:
-            # Checksum-valid but unloadable (e.g. written by an older
-            # format): quarantine and fall through to a recompute.
-            wd.quarantined.append(artifacts.quarantine(columnar_path, fs=wd.fs))
-    if columnar is None:
-        columnar = build_columnar(dataset, registry)
-        # Uncompressed members are memmappable on resume; worth the disk
-        # exactly when the matrices are big enough to matter.
-        save_columnar(columnar, columnar_path, fs=wd.fs, compressed=not out_of_core)
-        tag_table = TagViewsTable.from_columnar(
-            columnar,
-            reconstructor,
-            streaming=out_of_core,
-            dtype=dtype,
-            block_entries=config.chunk_rows,
-        )
-        summary = {
-            "tags": len(tag_table),
-            "views": {
-                tag: tag_table.total_views(tag) for tag in tag_table.tags()
-            },
-        }
-        artifacts.atomic_write_text(
-            tagviews_path,
-            json.dumps(summary, sort_keys=True),
-            fs=wd.fs,
-            checksum=True,
-        )
-        wd.mark_done("reconstruct")
-    else:
-        tag_table = TagViewsTable.from_columnar(
-            columnar,
-            reconstructor,
-            streaming=out_of_core,
-            dtype=dtype,
-            block_entries=config.chunk_rows,
-        )
-
-    return PipelineResult(
-        universe=universe,
-        service=service,
-        crawl=crawl,
-        dataset=dataset,
-        filter_report=filter_report,
-        reconstructor=reconstructor,
-        tag_table=tag_table,
-        stages_skipped=tuple(skipped),
-        quarantined=tuple(str(p) for p in wd.quarantined),
-    )
+def _save_reconstruct(
+    wd: _Workdir, columnar: ColumnarDataset, tag_table: TagViewsTable
+) -> None:
+    save_store(columnar, wd.path(STORE_DIR), fs=wd.fs)
+    summary = {
+        "tags": len(tag_table),
+        "views": dict(zip(tag_table.tags(), tag_table.totals().tolist())),
+    }
+    wd.write_json("tag_views.json", summary, indent=None)
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 paper's Figs. 2 and 3. :class:`TagViewsTable` materializes it for every
 tag of a dataset.
 
-Three build paths produce the identical table:
+Two build paths produce the identical table:
 
 - **columnar** (the default): the dataset is materialized once through
   :mod:`repro.engine`, Eq. (1)–(2) runs vectorized for every video, and
@@ -13,12 +13,12 @@ Three build paths produce the identical table:
   tag blocks via :func:`repro.engine.outofcore.tag_views_streaming` —
   the ``(V × C)`` estimate matrix is never materialized, so
   million-video (memmap-backed) datasets aggregate in bounded memory
-  with bit-identical float64 output;
-- **scalar** (``engine="scalar"``): the historical per-video loop, kept
-  as the reference oracle the property tests pin the engine to.
+  with bit-identical float64 output.
 
-Either way the table is backed by one dense ``(T × C)`` matrix plus a
-tag index, so matrix-level consumers (:mod:`repro.analysis.signatures`,
+The property tests pin both to a per-video reference loop that lives
+with the tests (``tests/oracles.py``). Either way the table is backed
+by one dense ``(T × C)`` matrix plus a tag index, so matrix-level
+consumers (:mod:`repro.analysis.signatures`,
 :mod:`repro.analysis.tagstats`, :mod:`repro.analysis.conjecture`) can
 grab :meth:`TagViewsTable.views_matrix` / :meth:`shares_matrix` instead
 of looping tag by tag. A video's duplicate tags are counted **once** —
@@ -33,9 +33,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datamodel.dataset import Dataset
-from repro.errors import AnalysisError
-from repro.reconstruct.views import ViewReconstructor, _resolve_engine
+from repro.errors import AnalysisError, ReconstructionError
+from repro.reconstruct.views import ViewReconstructor
 from repro.world.countries import CountryRegistry
+
+#: Engine selection values for :class:`TagViewsTable`. ``auto`` and
+#: ``columnar`` run the dense fast path; ``chunked`` streams the same
+#: kernels in fixed-size blocks (bounded peak memory, identical float64
+#: output).
+ENGINES = ("auto", "columnar", "chunked")
 
 
 class TagViewsTable:
@@ -48,8 +54,7 @@ class TagViewsTable:
             standard one.
         engine: ``"auto"``/``"columnar"`` for the vectorized fast path,
             ``"chunked"`` for the streaming aggregation (bounded memory,
-            identical float64 output), ``"scalar"`` for the per-video
-            reference oracle.
+            identical float64 output).
         dtype: Compute precision for the engine paths (``None`` =
             float64; ``"float32"`` stays within ~1e-4 relative).
         block_entries: Streaming block budget (CSR entries per block)
@@ -70,17 +75,17 @@ class TagViewsTable:
             reconstructor = ViewReconstructor()
         self.reconstructor = reconstructor
         self.registry: CountryRegistry = reconstructor.registry
-        resolved = _resolve_engine(engine)
-        if resolved == "scalar":
-            self._build_scalar(dataset)
-        else:
-            from repro.engine.columnar import build_columnar
+        if engine not in ENGINES:
+            raise ReconstructionError(
+                f"unknown engine {engine!r}; choose from {ENGINES}"
+            )
+        from repro.engine.columnar import build_columnar
 
-            columnar = build_columnar(dataset, self.registry)
-            if resolved == "chunked":
-                self._build_streaming(columnar, dtype, block_entries)
-            else:
-                self._build_from_columnar(columnar, dtype=dtype)
+        columnar = build_columnar(dataset, self.registry)
+        if engine == "chunked":
+            self._build_streaming(columnar, dtype, block_entries)
+        else:
+            self._build_from_columnar(columnar, dtype=dtype)
 
     @classmethod
     def from_columnar(
@@ -94,11 +99,10 @@ class TagViewsTable:
         """Build directly from a prebuilt/persisted columnar dataset.
 
         This is the resume path: a pipeline that already holds a
-        :class:`~repro.engine.columnar.ColumnarDataset` (e.g. loaded from
-        the ``columnar.npz`` artifact or a raw-array store) skips
-        re-materialization entirely and goes straight to the vectorized
-        kernels. ``streaming=True`` aggregates through
-        :func:`repro.engine.outofcore.tag_views_streaming` instead —
+        :class:`~repro.engine.columnar.ColumnarDataset` (e.g. opened from
+        its raw-array store) skips re-materialization entirely and goes
+        straight to the vectorized kernels. ``streaming=True`` aggregates
+        through :func:`repro.engine.outofcore.tag_views_streaming` instead —
         the right mode for memmap-backed datasets, with bit-identical
         float64 results.
         """
@@ -141,29 +145,6 @@ class TagViewsTable:
             dtype=dtype,
         )
         self._finish(columnar.tags, matrix, columnar.tag_video_counts())
-
-    def _build_scalar(self, dataset: Dataset) -> None:
-        axis = len(self.registry)
-        index: Dict[str, int] = {}
-        rows: List[np.ndarray] = []
-        counts: List[int] = []
-        for video in dataset:
-            if not video.has_valid_popularity() or not video.tags:
-                continue
-            estimated = self.reconstructor.for_video(video)
-            # dict.fromkeys dedupes while keeping uploader order: a
-            # duplicated tag must not receive the video's views twice.
-            for tag in dict.fromkeys(video.tags):
-                slot = index.get(tag)
-                if slot is None:
-                    slot = len(rows)
-                    index[tag] = slot
-                    rows.append(np.zeros(axis))
-                    counts.append(0)
-                rows[slot] += estimated
-                counts[slot] += 1
-        matrix = np.vstack(rows) if rows else np.zeros((0, axis))
-        self._finish(list(index.keys()), matrix, counts)
 
     def _finish(
         self,

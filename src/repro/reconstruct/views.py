@@ -37,20 +37,6 @@ from repro.errors import ReconstructionError
 from repro.world.countries import CountryRegistry, default_registry
 from repro.world.traffic import TrafficModel, default_traffic_model
 
-#: Engine selection values for the dataset-scale entry points. ``auto``
-#: resolves to the columnar fast path; ``chunked`` runs the same numpy
-#: kernels in fixed-size row chunks (bounded peak memory, identical
-#: float64 output); ``scalar`` forces the per-video reference oracle.
-ENGINES = ("auto", "columnar", "chunked", "scalar")
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ReconstructionError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    return "columnar" if engine == "auto" else engine
-
 
 def reconstruct_views(
     popularity: PopularityVector,
@@ -146,12 +132,12 @@ def reconstruct_views_smoothed(
 class ViewReconstructor:
     """Dataset-scale Eq. (1)–(2) reconstruction.
 
-    Per-video calls (:meth:`for_video`) run the scalar estimators above —
-    the reference oracle. Dataset-scale calls (:meth:`for_dataset`,
-    :meth:`matrix_for_dataset`) default to the columnar engine
-    (:mod:`repro.engine`): one materialization, then every video in a
-    handful of vectorized numpy ops. The traffic prior and the registry
-    axis are resolved once at construction and cached — never per call.
+    Per-video calls (:meth:`for_video`) run the estimators above.
+    Dataset-scale calls (:meth:`for_dataset`, :meth:`matrix_for_dataset`)
+    run the columnar engine (:mod:`repro.engine`): one materialization,
+    then every video in a handful of vectorized numpy ops. The traffic
+    prior and the registry axis are resolved once at construction and
+    cached — never per call.
 
     Args:
         traffic: The traffic prior; defaults to the library's 2011-flavour
@@ -227,9 +213,9 @@ class ViewReconstructor:
         """Vectorized Eq. (1)–(2) over a prebuilt columnar dataset.
 
         ``columnar`` is a :class:`~repro.engine.columnar.ColumnarDataset`
-        (imported lazily to keep the oracle module free of engine
-        dependencies at import time). Returns the ``(V, C)`` matrix of
-        reconstructed views, rows aligned with ``columnar.video_ids``.
+        (imported lazily to keep this module free of engine dependencies
+        at import time). Returns the ``(V, C)`` matrix of reconstructed
+        views, rows aligned with ``columnar.video_ids``.
 
         ``chunk_rows`` computes the matrix in fixed-size row chunks —
         bit-identical float64 output, bounded temporaries; the natural
@@ -253,49 +239,22 @@ class ViewReconstructor:
             dtype=dtype,
         )
 
-    def for_dataset(
-        self, dataset: Dataset, engine: str = "auto"
-    ) -> Dict[str, np.ndarray]:
+    def for_dataset(self, dataset: Dataset) -> Dict[str, np.ndarray]:
         """Reconstruct every eligible video in ``dataset``.
 
         Videos without a valid popularity vector are skipped (they do not
         survive the paper's filter anyway). Returns ``{video_id: vector}``.
-
-        ``engine`` selects the execution path: ``"auto"``/``"columnar"``
-        vectorizes through :mod:`repro.engine`; ``"scalar"`` runs the
-        per-video oracle (bit-for-bit the historical behaviour).
         """
-        if _resolve_engine(engine) == "scalar":
-            result: Dict[str, np.ndarray] = {}
-            for video in dataset:
-                if video.has_valid_popularity():
-                    result[video.video_id] = self.for_video(video)
-            return result
         ids, matrix = self.matrix_for_dataset(dataset)
         return dict(zip(ids, matrix))
 
     def matrix_for_dataset(
-        self, dataset: Dataset, engine: str = "auto"
+        self, dataset: Dataset
     ) -> Tuple[List[str], np.ndarray]:
         """Dense ``(ids, matrix)`` of reconstructed views (rows = videos)."""
-        resolved = _resolve_engine(engine)
-        if resolved == "scalar":
-            ids: List[str] = []
-            rows: List[np.ndarray] = []
-            for video in dataset:
-                if video.has_valid_popularity():
-                    ids.append(video.video_id)
-                    rows.append(self.for_video(video))
-            if rows:
-                return ids, np.vstack(rows)
-            return ids, np.zeros((0, len(self.registry)))
         from repro.engine.columnar import build_columnar
-        from repro.engine.compute import DEFAULT_CHUNK_ROWS
 
         columnar = build_columnar(dataset, self.registry)
         if columnar.n_videos == 0:
             return [], np.zeros((0, len(self.registry)))
-        chunk_rows = DEFAULT_CHUNK_ROWS if resolved == "chunked" else None
-        return list(columnar.video_ids), self.matrix_for_columnar(
-            columnar, chunk_rows=chunk_rows
-        )
+        return list(columnar.video_ids), self.matrix_for_columnar(columnar)

